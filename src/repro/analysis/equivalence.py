@@ -2,7 +2,7 @@
 
 The paper claims "implementation verification" as one of the FSM-level
 payoffs.  In this reproduction the kernel interpreter is the semantic
-reference (DESIGN.md §7); this module checks that a compiled engine
+reference; this module checks that a compiled engine
 produces identical observable behaviour on input traces — used by the
 integration and property-based tests and available to users as a
 sanity check after optimization.

@@ -15,8 +15,8 @@ Generates a self-contained C translation unit per module:
   generator produced.
 
 The generated code is also the basis of the cost model's code-size
-estimate (DESIGN.md S9): :func:`generated_code_metrics` counts the same
-constructs the generator emits.
+estimate (:mod:`repro.cost.model`): :func:`generated_code_metrics`
+counts the same constructs the generator emits.
 """
 
 from __future__ import annotations

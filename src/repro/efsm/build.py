@@ -1,9 +1,12 @@
 """EFSM construction by symbolic per-instant execution.
 
-For every reachable kernel residue (= control state) the builder runs the
-shared SOS semantics (:func:`repro.esterel.react.react`) with a context
-that *records* data actions instead of executing them and *forks* on any
-test it cannot resolve:
+Control states are explored breadth first from the module body: every
+reachable kernel residue becomes one state, numbered in the order it is
+first reached.  For each state the builder enumerates the paths of one
+instant by running the shared SOS semantics
+(:func:`repro.esterel.react.react`) with a context that *records* data
+actions instead of executing them and *decides* every test it cannot
+resolve:
 
 * presence of an **input** signal — a real runtime branch;
 * a **data** condition — a real runtime branch (evaluated at the point it
@@ -16,6 +19,12 @@ test it cannot resolve:
   causality deadlock, two or more means nondeterminism — both rejected,
   exactly as the Esterel compiler rejects non-constructive programs.
 
+Paths are enumerated depth first, ``True`` before ``False``, with one
+run per path.  A run replays a decision prefix; past its end it takes
+``True`` at each new decision and pushes the prefix ending in ``False``
+onto a stack of runs still to make.  Every run therefore ends in a
+completed path, and an instant with L paths costs L runs.
+
 Valid paths of one state are merged into a decision tree (assumption
 tests collapse — local signals are compiled away), and every leaf's
 residue becomes a new state for the worklist.
@@ -23,6 +32,7 @@ residue becomes a new state for the worklist.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -46,15 +56,6 @@ from .machine import (
 _DEFAULT_MAX_STATES = 4096
 
 
-class _NeedDecision(Exception):
-    """Replay ran past the oracle: a new test needs both branches."""
-
-    def __init__(self, kind, key):
-        self.kind = kind
-        self.key = key
-        super().__init__()
-
-
 @dataclass
 class _Path:
     """One completed symbolic execution of an instant."""
@@ -69,7 +70,8 @@ class _Path:
 
 
 class _SymbolicContext(ReactContext):
-    """ReactContext that records and forks.
+    """ReactContext that records actions and decides tests (one run, one
+    path; see :meth:`_decide`).
 
     A path-local constant store propagates values assigned *within the
     current instant* (``cnt = 0`` at a loop head, ``cnt++`` steps, ...).
@@ -81,12 +83,15 @@ class _SymbolicContext(ReactContext):
     paper's Figure 1 loop as instantaneous.
     """
 
-    def __init__(self, oracle, input_names, signal_dirs, var_types):
+    def __init__(self, builder, oracle, pending):
         self.oracle = oracle
         self.position = 0
-        self.input_names = input_names
-        self.signal_dirs = signal_dirs
-        self.var_types = var_types
+        self.decided = list(oracle)
+        self.pending = pending
+        self.input_names = builder.input_names
+        self.signal_dirs = builder.signal_dirs
+        self.var_types = builder.var_types
+        self.write_sets = builder.write_sets
         self.store = {}
         self.events = []
         self.emitted = set()
@@ -94,16 +99,21 @@ class _SymbolicContext(ReactContext):
         self.delta = False
 
     def _decide(self, kind, key):
-        if self.position < len(self.oracle):
-            o_kind, o_key, value = self.oracle[self.position]
+        """Replay the oracle; past its end, take True and queue the
+        run that takes False here."""
+        position = self.position
+        self.position = position + 1
+        if position < len(self.oracle):
+            o_kind, o_key, value = self.oracle[position]
             if o_kind != kind or o_key is not key and o_key != key:
                 raise CompileError(
                     "symbolic replay diverged (internal error): "
                     "expected %s %r, got %s %r"
                     % (o_kind, o_key, kind, key))
-            self.position += 1
             return value
-        raise _NeedDecision(kind, key)
+        self.pending.append(tuple(self.decided) + ((kind, key, False),))
+        self.decided.append((kind, key, True))
+        return True
 
     def signal_status(self, name):
         if name in self.input_names:
@@ -179,29 +189,15 @@ class _SymbolicContext(ReactContext):
 
     def _invalidate(self, stmt):
         """Drop knowledge about anything the statement might write."""
-        calls = False
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Call):
-                calls = True
-            if isinstance(node, (ast.Assign, ast.IncDec)):
-                target = node.target if isinstance(node, ast.IncDec) \
-                    else node.target
-                base = target
-                while isinstance(base, (ast.Index, ast.Member)):
-                    base = base.base
-                if isinstance(base, ast.Name):
-                    self.store.pop(base.id, None)
-                else:
-                    self.store.clear()
-                    return
-            if isinstance(node, ast.Unary) and node.op == "&":
-                # Address taken: the variable may be written anywhere.
-                operand = node.operand
-                if isinstance(operand, ast.Name):
-                    self.store.pop(operand.id, None)
-        if calls:
-            # A call may write through pointers; be conservative.
+        entry = self.write_sets.get(id(stmt))
+        if entry is None:
+            entry = self.write_sets[id(stmt)] = (stmt, _write_set(stmt))
+        names = entry[1]
+        if names is None:
             self.store.clear()
+            return
+        for name in names:
+            self.store.pop(name, None)
 
     def _const_eval(self, expr):
         """Evaluate ``expr`` from the constant store; None if unknown.
@@ -266,6 +262,9 @@ class EfsmBuilder:
         self.input_names = frozenset(
             p.name for p in module.params if p.direction == "input")
         self.var_types = dict(module.variables)
+        # id(action statement) -> (statement, _write_set(statement)); the
+        # statement is held so its id stays unique for the build.
+        self.write_sets = {}
 
     def build(self):
         efsm = Efsm(
@@ -276,7 +275,7 @@ class EfsmBuilder:
             module=self.module,
         )
         index_of = {}
-        worklist = []
+        worklist = deque()
 
         def intern(residue):
             if residue in index_of:
@@ -295,7 +294,7 @@ class EfsmBuilder:
 
         intern(self.module.body)
         while worklist:
-            index = worklist.pop(0)
+            index = worklist.popleft()
             state = efsm.states[index]
             paths = self._explore(state.residue, index)
             state.reaction = self._merge(paths, 0, intern, index)
@@ -308,26 +307,16 @@ class EfsmBuilder:
         pending = [()]
         raw_paths = []
         while pending:
-            oracle = pending.pop()
-            ctx = _SymbolicContext(oracle, self.input_names,
-                                   self.signal_dirs, self.var_types)
-            try:
-                code, next_residue = react(residue, ctx)
-            except _NeedDecision as need:
-                pending.append(oracle + ((need.kind, need.key, False),))
-                pending.append(oracle + ((need.kind, need.key, True),))
-                continue
+            ctx = _SymbolicContext(self, pending.pop(), pending)
+            code, next_residue = react(residue, ctx)
             valid = all(
                 (name in ctx.emitted) == assumed
                 for name, assumed in ctx.assumptions.items()
             )
             if not valid:
                 continue
-            decisions = tuple(
-                (kind, key, value) for kind, key, value in
-                ((e[0], e[1], e[2]) for e in ctx.events
-                 if e[0] in ("sig", "data"))
-            )
+            decisions = tuple(e for e in ctx.events
+                              if e[0] in ("sig", "data"))
             raw_paths.append(_Path(
                 events=tuple(ctx.events),
                 decisions=decisions,
@@ -425,6 +414,27 @@ class EfsmBuilder:
                           self._merge(paths, position + 1, intern,
                                       state_index))
         raise CompileError("unknown symbolic event %r" % (event,))
+
+
+def _write_set(stmt):
+    """Names a data statement may write, or None if it may write
+    anything (through a pointer, an aggregate or a call)."""
+    names = []
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Call):
+            return None
+        if isinstance(node, (ast.Assign, ast.IncDec)):
+            base = node.target
+            while isinstance(base, (ast.Index, ast.Member)):
+                base = base.base
+            if not isinstance(base, ast.Name):
+                return None
+            names.append(base.id)
+        if isinstance(node, ast.Unary) and node.op == "&":
+            # Address taken: the variable may be written anywhere.
+            if isinstance(node.operand, ast.Name):
+                names.append(node.operand.id)
+    return tuple(names)
 
 
 def _fold_binary(op, left, right):

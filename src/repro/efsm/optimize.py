@@ -128,29 +128,39 @@ def simplify_reactions(efsm):
 
 
 def simplify_tree(node, _cache=None):
-    """Collapse no-op tests and hash-cons identical subtrees."""
+    """Collapse no-op tests and hash-cons identical subtrees.
+
+    Children are interned before their parent, so equal subtrees are
+    already the same object and a node's intern key is shallow: its
+    type, its payload and the ids of its interned children.  Each node
+    is hashed once, whatever its depth.  The first node interned under
+    a key is the one every equal subtree shares.
+    """
     cache = _cache if _cache is not None else {}
-
-    def intern(built):
-        return cache.setdefault(built, built)
-
     if isinstance(node, Leaf):
-        return intern(node)
+        return cache.setdefault((Leaf, node.target, node.delta), node)
     if isinstance(node, (TestSignal, TestData)):
         then = simplify_tree(node.then, cache)
         otherwise = simplify_tree(node.otherwise, cache)
-        if then is otherwise or then == otherwise:
+        if then is otherwise:
             # The test does not influence the reaction: drop it.
             return then
-        if isinstance(node, TestSignal):
-            return intern(TestSignal(node.signal, then, otherwise))
-        return intern(TestData(node.cond, then, otherwise))
-    if isinstance(node, DoAction):
-        return intern(DoAction(node.stmt, simplify_tree(node.next, cache)))
-    if isinstance(node, DoEmit):
-        return intern(DoEmit(node.signal, node.value,
-                             simplify_tree(node.next, cache)))
-    raise TypeError("unknown reaction node %r" % (node,))
+        payload = (node.signal if isinstance(node, TestSignal)
+                   else node.cond,)
+        children = (then, otherwise)
+    elif isinstance(node, DoAction):
+        payload = (node.stmt,)
+        children = (simplify_tree(node.next, cache),)
+    elif isinstance(node, DoEmit):
+        payload = (node.signal, node.value)
+        children = (simplify_tree(node.next, cache),)
+    else:
+        raise TypeError("unknown reaction node %r" % (node,))
+    key = (type(node),) + payload + tuple(map(id, children))
+    built = cache.get(key)
+    if built is None:
+        built = cache[key] = type(node)(*payload, *children)
+    return built
 
 
 # ----------------------------------------------------------------------
@@ -170,15 +180,20 @@ def merge_equivalent_states(efsm):
     while True:
         mapping = {index: block[index] for index in block}
         mapping[TERMINATED] = TERMINATED
+        signature_ids = {}
+        memo = {}
         groups = {}
         for state in efsm.states:
             signature = (block[state.index],
-                         _signature(state.reaction, mapping))
+                         _signature(state.reaction, mapping, signature_ids,
+                                    memo))
             groups.setdefault(signature, []).append(state.index)
+        # Blocks are numbered by their first state.  The numbering does
+        # not change the partition, and an unchanged partition gets the
+        # same numbers again, which ends the loop.
         new_block = {}
-        for new_id, signature in enumerate(sorted(groups,
-                                                  key=_signature_key)):
-            for index in groups[signature]:
+        for new_id, members in enumerate(groups.values()):
+            for index in members:
                 new_block[index] = new_id
         if new_block == block:
             break
@@ -213,29 +228,37 @@ def merge_equivalent_states(efsm):
     )
 
 
-def _signature_key(signature):
-    """Deterministic ordering for signature groups (AST payloads have no
-    natural order, so fall back to their repr)."""
-    return (signature[0], repr(signature[1]))
-
-
-def _signature(node, mapping):
+def _signature(node, mapping, signature_ids, memo):
+    """A small int naming the reaction of ``node`` with leaf targets
+    read through ``mapping``: equal reactions get equal ints.  Signatures
+    are interned bottom-up on shallow keys (``signature_ids``), and
+    ``memo`` (by node id) computes a shared subtree once."""
+    cached = memo.get(id(node))
+    if cached is not None:
+        return cached
     if isinstance(node, Leaf):
         target = TERMINATED if node.target == TERMINATED \
             else mapping[node.target]
-        return ("leaf", target, node.delta)
-    if isinstance(node, TestSignal):
-        return ("sig", node.signal, _signature(node.then, mapping),
-                _signature(node.otherwise, mapping))
-    if isinstance(node, TestData):
-        return ("data", node.cond, _signature(node.then, mapping),
-                _signature(node.otherwise, mapping))
-    if isinstance(node, DoAction):
-        return ("act", node.stmt, _signature(node.next, mapping))
-    if isinstance(node, DoEmit):
-        return ("emit", node.signal, node.value,
-                _signature(node.next, mapping))
-    raise TypeError("unknown reaction node %r" % (node,))
+        key = ("leaf", target, node.delta)
+    elif isinstance(node, TestSignal):
+        key = ("sig", node.signal,
+               _signature(node.then, mapping, signature_ids, memo),
+               _signature(node.otherwise, mapping, signature_ids, memo))
+    elif isinstance(node, TestData):
+        key = ("data", node.cond,
+               _signature(node.then, mapping, signature_ids, memo),
+               _signature(node.otherwise, mapping, signature_ids, memo))
+    elif isinstance(node, DoAction):
+        key = ("act", node.stmt,
+               _signature(node.next, mapping, signature_ids, memo))
+    elif isinstance(node, DoEmit):
+        key = ("emit", node.signal, node.value,
+               _signature(node.next, mapping, signature_ids, memo))
+    else:
+        raise TypeError("unknown reaction node %r" % (node,))
+    signature = signature_ids.setdefault(key, len(signature_ids))
+    memo[id(node)] = signature
+    return signature
 
 
 def _retarget_mapped(node, mapping):

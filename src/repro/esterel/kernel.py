@@ -19,7 +19,7 @@ Completion codes follow Berry's encoding:
 k+2   ``exit`` of the trap ``k`` levels up
 ====  ==========================================
 
-Design notes (deviations documented in DESIGN.md §4):
+Design notes (deliberate deviations from full Esterel):
 
 * ``Await``/``Abort``/``Suspend`` conditions are *signal expressions*
   (:class:`repro.lang.ast.SigExpr`) over presence bits.
@@ -46,6 +46,18 @@ class KStmt:
     def is_residue(self):
         """True for mid-execution wrappers (never produced by translation)."""
         return False
+
+    def __getstate__(self):
+        # The hash cached by ``__hash__`` (see _cache_hash) is salted per
+        # process, so it never crosses a pickle boundary.  A term whose
+        # remaining state is empty pickles as None, like any plain
+        # object, so the emitted reactors' embedded pickles do not
+        # depend on whether a term was hashed before it was written.
+        state = self.__dict__
+        if "_hash" in state:
+            state = {name: value for name, value in state.items()
+                     if name != "_hash"}
+        return state or None
 
 
 @dataclass(frozen=True)
@@ -210,6 +222,33 @@ class ParActive(KStmt):
 
     def is_residue(self):
         return True
+
+
+def _cache_hash(cls):
+    """Make ``cls`` compute its dataclass field hash once per object.
+
+    Terms are immutable and deeply nested, and the EFSM builder keys
+    dicts by whole residues: without the cache every lookup rehashes the
+    entire term.  The value is the dataclass hash itself, so hashing
+    order and equality are unchanged; it is kept in the instance
+    ``__dict__`` under ``_hash``, which ``KStmt.__getstate__`` leaves
+    out of pickles.
+    """
+    field_hash = cls.__hash__
+
+    def __hash__(self):
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = self.__dict__["_hash"] = field_hash(self)
+        return cached
+
+    cls.__hash__ = __hash__
+
+
+# Every statement type is a direct subclass of KStmt.
+for _term_type in KStmt.__subclasses__():
+    _cache_hash(_term_type)
+del _term_type
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,10 @@ trace log is installed, appends one :class:`SpanRecord` to a bounded
 ring buffer.  Spans nest per thread: each record knows its depth, its
 parent's name, and its *self* wall time (own wall minus direct
 children's wall), which is what the ``--profile`` breakdown
-aggregates.
+aggregates.  A span's CPU time is its own thread's
+(``time.thread_time``), children included: work other threads do
+meanwhile, such as sibling modules of a threaded build, is not
+counted.
 
 Like the rest of :mod:`repro.telemetry`, spans are zero-cost when
 telemetry is disabled: :func:`span` returns a shared null context
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from time import perf_counter, process_time
+from time import perf_counter, thread_time
 from typing import List, Optional
 
 from .registry import histogram, is_enabled
@@ -143,12 +146,12 @@ class _Span:
         stack = _stack()
         stack.append(self)
         self._wall0 = perf_counter()
-        self._cpu0 = process_time()
+        self._cpu0 = thread_time()
         return self
 
     def __exit__(self, *exc):
         wall = perf_counter() - self._wall0
-        cpu = process_time() - self._cpu0
+        cpu = thread_time() - self._cpu0
         stack = _stack()
         if stack and stack[-1] is self:
             stack.pop()

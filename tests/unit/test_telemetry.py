@@ -9,6 +9,7 @@ got them wrong.
 """
 
 import threading
+import time
 
 import pytest
 
@@ -227,6 +228,35 @@ class TestSpans:
         assert records["outer"].self_wall <= records["outer"].wall
         assert records["outer"].self_wall == pytest.approx(
             records["outer"].wall - records["inner"].wall)
+
+    def test_span_cpu_excludes_other_threads(self, enabled):
+        # The span's thread sleeps while a second thread burns CPU; the
+        # span must report (roughly) its own CPU, not the process's.
+        stop = threading.Event()
+        burned = [0.0]
+
+        def burn():
+            start = time.thread_time()
+            while not stop.is_set():
+                sum(range(1000))
+                burned[0] = time.thread_time() - start
+
+        burner = threading.Thread(target=burn)
+        burner.start()
+        try:
+            with telemetry.span("sleeper"):
+                deadline = time.monotonic() + 30
+                while burned[0] < 0.2 and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                during = burned[0]
+        finally:
+            stop.set()
+            burner.join(timeout=10)
+        assert not burner.is_alive()
+        record = telemetry.trace_log().entries()[-1]
+        assert record.name == "sleeper"
+        assert during >= 0.2
+        assert record.cpu < 0.25 * during
 
     def test_trace_ring_buffer_is_bounded(self, enabled):
         log = telemetry.install_trace(capacity=3)
