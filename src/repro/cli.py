@@ -35,9 +35,7 @@ import os
 import re
 import sys
 
-from .core.compiler import EclCompiler
 from .errors import EclError
-from .pipeline import ArtifactCache, CompileOptions, Pipeline
 from .pipeline.registry import DEFAULT_REGISTRY
 
 
@@ -397,6 +395,9 @@ def _profile_print(wall):
 
 
 def _load(args):
+    from .core.compiler import EclCompiler
+    from .pipeline.stages import CompileOptions
+
     options = CompileOptions()
     if getattr(args, "no_optimize", False):
         options.optimize = False
@@ -444,6 +445,8 @@ def _cmd_compile(args):
 
 
 def _cmd_build(args):
+    from .pipeline import ArtifactCache, CompileOptions, Pipeline
+
     emit = [kind.strip() for kind in args.emit.split(",") if kind.strip()]
     options = CompileOptions()
     if args.no_optimize:

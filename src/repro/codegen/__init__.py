@@ -14,21 +14,19 @@ Every module here registers an emitter into
 name (``c``, ``py``, ``vhdl``, ``verilog``, ``esterel``, ``dot``).
 """
 
-from . import dot_backend  # noqa: F401  (registers "dot")
-from . import esterel_backend  # noqa: F401  (registers "esterel")
-from .c_backend import CBackend, CModule, generate_c
-from .py_backend import EfsmReactor, generate_python
-from .verilog_backend import VerilogBackend, generate_verilog
-from .vhdl_backend import VhdlBackend, generate_vhdl
+from ..lazy import lazy_exports
 
-__all__ = [
-    "CBackend",
-    "CModule",
-    "generate_c",
-    "EfsmReactor",
-    "generate_python",
-    "VerilogBackend",
-    "generate_verilog",
-    "VhdlBackend",
-    "generate_vhdl",
-]
+_EXPORTS = {
+    "CBackend": ".c_backend",
+    "CModule": ".c_backend",
+    "generate_c": ".c_backend",
+    "EfsmReactor": ".py_backend",
+    "generate_python": ".py_backend",
+    "VerilogBackend": ".verilog_backend",
+    "generate_verilog": ".verilog_backend",
+    "VhdlBackend": ".vhdl_backend",
+    "generate_vhdl": ".vhdl_backend",
+}
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)
+__all__ = [*_EXPORTS]

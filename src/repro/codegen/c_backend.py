@@ -21,8 +21,6 @@ counts the same constructs the generator emits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..ecl.rename import rewrite_name_reads
 from ..efsm.machine import (
     DoAction,
@@ -36,12 +34,12 @@ from ..errors import CodegenError
 from ..lang import ast
 from ..lang.printer import Printer, type_definition_text, type_text
 from ..lang.types import PureType
+from ..nodes import Record
 
 _INDENT = "    "
 
 
-@dataclass
-class CModule:
+class CModule(Record):
     """Generated C artifacts for one module."""
 
     name: str

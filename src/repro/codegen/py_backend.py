@@ -205,11 +205,18 @@ def reactor(counter=None, builtins=None):
 
 
 def generate_python(efsm):
-    """Render the EFSM as a standalone importable Python module."""
+    """Render the EFSM as a standalone importable Python module.
+
+    The embedded pickle holds a copy of ``efsm`` without its lazily
+    filled caches (transition table, leaf counts, ...), so the module's
+    bytes do not depend on what earlier stages asked of the automaton.
+    """
     import base64
     import pickle
 
-    encoded = base64.b64encode(pickle.dumps(efsm)).decode("ascii")
+    from ..nodes import replace
+
+    encoded = base64.b64encode(pickle.dumps(replace(efsm))).decode("ascii")
     chunks = [encoded[i:i + 64] for i in range(0, len(encoded), 64)]
     blob = "\n".join('    "%s"' % chunk for chunk in chunks)
     return _PY_TEMPLATE % {"name": efsm.name, "blob": blob}

@@ -7,23 +7,19 @@ adds artifact caching, pluggable emitters and batched parallel builds);
 implementation trade-off of Section 4.
 """
 
-from .compiler import CompiledDesign, CompiledModule, CompileOptions, EclCompiler
-from .partition import (
-    PartitionResult,
-    PartitionSpec,
-    TaskSpec,
-    explore_partitions,
-    run_partition,
-)
+from ..lazy import lazy_exports
 
-__all__ = [
-    "CompiledDesign",
-    "CompiledModule",
-    "CompileOptions",
-    "EclCompiler",
-    "PartitionResult",
-    "PartitionSpec",
-    "TaskSpec",
-    "explore_partitions",
-    "run_partition",
-]
+_EXPORTS = {
+    "CompiledDesign": ".compiler",
+    "CompiledModule": ".compiler",
+    "CompileOptions": ".compiler",
+    "EclCompiler": ".compiler",
+    "PartitionResult": ".partition",
+    "PartitionSpec": ".partition",
+    "TaskSpec": ".partition",
+    "explore_partitions": ".partition",
+    "run_partition": ".partition",
+}
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)
+__all__ = [*_EXPORTS]

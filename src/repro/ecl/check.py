@@ -19,15 +19,14 @@ warnings
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List
 
 from ..lang import ast
 from ..lang.types import PureType
+from ..nodes import Record
 
 
-@dataclass
-class Diagnostic:
+class Diagnostic(Record):
     severity: str          # "error" | "warning"
     message: str
     span: object = None

@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from ..lang import ast
 from ..lang.types import PureType
+from ..nodes import Record, field
 
 
-@dataclass
-class KernelModule:
+class KernelModule(Record):
     """A fully lowered ECL module, ready for interpretation or EFSM
     construction.
 

@@ -9,9 +9,8 @@ module provides the capture-free rewriting.
 
 from __future__ import annotations
 
-from dataclasses import fields, replace
-
 from ..lang import ast
+from ..nodes import replace
 
 
 def rename_identifiers(node, mapping):
@@ -58,14 +57,12 @@ def rename_identifiers(node, mapping):
 
     # Generic traversal: rebuild any node whose children changed.
     updates = {}
-    for field_info in fields(node):
-        if field_info.name == "span":
-            continue
-        value = getattr(node, field_info.name)
+    for name in node._fields[1:]:  # all but the span
+        value = getattr(node, name)
         if isinstance(value, (ast.Node, tuple)):
             new_value = rename_identifiers(value, mapping)
             if new_value is not value:
-                updates[field_info.name] = new_value
+                updates[name] = new_value
     return replace(node, **updates) if updates else node
 
 
@@ -86,14 +83,12 @@ def rewrite_name_reads(node, rewrite):
         replacement = rewrite(node.id)
         return replacement if replacement is not None else node
     updates = {}
-    for field_info in fields(node):
-        if field_info.name == "span":
-            continue
-        value = getattr(node, field_info.name)
+    for name in node._fields[1:]:  # all but the span
+        value = getattr(node, name)
         if isinstance(value, (ast.Node, tuple)):
             new_value = rewrite_name_reads(value, rewrite)
             if new_value is not value:
-                updates[field_info.name] = new_value
+                updates[name] = new_value
     return replace(node, **updates) if updates else node
 
 

@@ -18,15 +18,14 @@ software-oriented compilation style.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Tuple
 
 from ..errors import SplitError
 from ..lang import ast
+from ..nodes import Record, field
 
 
-@dataclass
-class DataBlock:
+class DataBlock(Record):
     """One extracted data computation (a data loop, per the paper)."""
 
     name: str            # generated C function name
@@ -39,8 +38,7 @@ class DataBlock:
                                                  len(self.free_names))
 
 
-@dataclass
-class SplitReport:
+class SplitReport(Record):
     """Outcome of splitting one module."""
 
     module_name: str

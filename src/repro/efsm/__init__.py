@@ -8,49 +8,34 @@
 * :mod:`repro.efsm.dot` — Graphviz export.
 """
 
-from .build import EfsmBuilder, build_efsm
-from .dot import to_dot
-from .optimize import (
-    merge_equivalent_states,
-    optimize,
-    prune_unreachable,
-    reachable_states,
-    simplify_reactions,
-)
-from .product import Connection, ProductInfo, product_reachable_size
-from .machine import (
-    DoAction,
-    DoEmit,
-    Efsm,
-    Leaf,
-    State,
-    TERMINATED,
-    TestData,
-    TestSignal,
-    count_leaves,
-    walk_reaction,
-)
+from ..lazy import lazy_exports
+# Imported eagerly: ``optimize`` shares its name with its submodule,
+# and importing the submodule would otherwise bind the package
+# attribute to the module.
+from .optimize import optimize
 
-__all__ = [
-    "EfsmBuilder",
-    "build_efsm",
-    "to_dot",
-    "merge_equivalent_states",
-    "optimize",
-    "prune_unreachable",
-    "reachable_states",
-    "simplify_reactions",
-    "Connection",
-    "ProductInfo",
-    "product_reachable_size",
-    "DoAction",
-    "DoEmit",
-    "Efsm",
-    "Leaf",
-    "State",
-    "TERMINATED",
-    "TestData",
-    "TestSignal",
-    "count_leaves",
-    "walk_reaction",
-]
+_EXPORTS = {
+    "EfsmBuilder": ".build",
+    "build_efsm": ".build",
+    "to_dot": ".dot",
+    "merge_equivalent_states": ".optimize",
+    "prune_unreachable": ".optimize",
+    "reachable_states": ".optimize",
+    "simplify_reactions": ".optimize",
+    "Connection": ".product",
+    "ProductInfo": ".product",
+    "product_reachable_size": ".product",
+    "DoAction": ".machine",
+    "DoEmit": ".machine",
+    "Efsm": ".machine",
+    "Leaf": ".machine",
+    "State": ".machine",
+    "TERMINATED": ".machine",
+    "TestData": ".machine",
+    "TestSignal": ".machine",
+    "count_leaves": ".machine",
+    "walk_reaction": ".machine",
+}
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)
+__all__ = ["optimize", *_EXPORTS]

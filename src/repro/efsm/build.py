@@ -33,7 +33,6 @@ residue becomes a new state for the worklist.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Tuple
 
 from ..errors import CausalityError, CompileError, NondeterminismError
@@ -42,6 +41,7 @@ from ..esterel.react import ReactContext, react
 from ..lang import ast
 from ..lang.printer import Printer
 from ..lang.types import INT
+from ..nodes import Record
 from .machine import (
     DoAction,
     DoEmit,
@@ -56,8 +56,7 @@ from .machine import (
 _DEFAULT_MAX_STATES = 4096
 
 
-@dataclass
-class _Path:
+class _Path(Record):
     """One completed symbolic execution of an instant."""
 
     events: Tuple[tuple, ...]   # ordered trace (tests, actions, emits)

@@ -10,31 +10,32 @@ at each leaf.  Data variables live outside the automaton (that is the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from ..lang import ast
 from ..lang.printer import Printer
+from ..nodes import Frozen, Record, field, slotted
 
 #: Leaf marker for "module terminated".
 TERMINATED = -1
 
 # Reaction-tree nodes are allocated in bulk (hundreds per machine) and
-# walked on every simulated instant, so they carry ``slots=True``: no
+# walked on every simulated instant, so they are ``slotted``: no
 # per-node dict, smaller machines, faster attribute reads in the
-# reactors' hot loops.
+# reactors' hot loops.  The optimiser interns them on shallow keys
+# (:mod:`repro.efsm.optimize`), so their hashes need no cache.
 
 
-@dataclass(frozen=True, slots=True)
-class Leaf:
+@slotted
+class Leaf(Frozen):
     """End of a reaction: go to ``target`` (or TERMINATED)."""
 
     target: int = TERMINATED
     delta: bool = False  # an await() pause requests a re-trigger
 
 
-@dataclass(frozen=True, slots=True)
-class TestSignal:
+@slotted
+class TestSignal(Frozen):
     """Branch on presence of one *input* signal."""
 
     signal: str = ""
@@ -42,8 +43,8 @@ class TestSignal:
     otherwise: object = None
 
 
-@dataclass(frozen=True, slots=True)
-class TestData:
+@slotted
+class TestData(Frozen):
     """Branch on a C condition over variables / signal values."""
 
     cond: ast.Expr = None
@@ -51,16 +52,16 @@ class TestData:
     otherwise: object = None
 
 
-@dataclass(frozen=True, slots=True)
-class DoAction:
+@slotted
+class DoAction(Frozen):
     """Execute an atomic data statement, then continue."""
 
     stmt: ast.Stmt = None
     next: object = None
 
 
-@dataclass(frozen=True, slots=True)
-class DoEmit:
+@slotted
+class DoEmit(Frozen):
     """Emit a signal (with optional value expression), then continue."""
 
     signal: str = ""
@@ -68,8 +69,7 @@ class DoEmit:
     next: object = None
 
 
-@dataclass
-class State:
+class State(Record):
     """One EFSM control state."""
 
     index: int
@@ -78,8 +78,7 @@ class State:
     label: str = ""
 
 
-@dataclass
-class Efsm:
+class Efsm(Record):
     """The automaton for one module.
 
     The whole-machine walks (:meth:`transition_count`,

@@ -6,19 +6,20 @@ the synchronous fixed-point semantics, and :mod:`repro.efsm` compiles
 them to extended finite state machines.
 """
 
+from ..lazy import lazy_exports
 from . import kernel
-from .interp import KernelRunner, ReactionResult, run_instant
-from .printer import EsterelPrinter, to_esterel
+# Imported eagerly: ``react`` shares its name with its submodule, and
+# importing the submodule would otherwise bind the package attribute to
+# the module.
 from .react import ReactContext, eval_sig_expr, react
 
-__all__ = [
-    "kernel",
-    "KernelRunner",
-    "ReactionResult",
-    "run_instant",
-    "EsterelPrinter",
-    "to_esterel",
-    "ReactContext",
-    "eval_sig_expr",
-    "react",
-]
+_EXPORTS = {
+    "KernelRunner": ".interp",
+    "ReactionResult": ".interp",
+    "run_instant": ".interp",
+    "EsterelPrinter": ".printer",
+    "to_esterel": ".printer",
+}
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)
+__all__ = ["kernel", "ReactContext", "eval_sig_expr", "react", *_EXPORTS]

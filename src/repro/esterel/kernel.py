@@ -6,10 +6,12 @@ this small statement algebra; the interpreter
 (:mod:`repro.efsm.build`) both run it, sharing one structural-operational
 semantics (:mod:`repro.esterel.react`).
 
-Statements are frozen, hashable dataclasses.  *Residues* — the
-continuation of a statement across an instant boundary — are expressed in
-the same algebra (plus three ``*Active`` wrappers), so an EFSM control
-state is simply a canonical kernel term.
+Statements are frozen, hashable :class:`~repro.nodes.Frozen` records,
+which compute their hash once: the EFSM builder keys dicts by whole
+residues.  *Residues* — the continuation of a statement across an
+instant boundary — are expressed in the same algebra (plus three
+``*Active`` wrappers), so an EFSM control state is simply a canonical
+kernel term.
 
 Completion codes follow Berry's encoding:
 
@@ -33,34 +35,20 @@ Design notes (deliberate deviations from full Esterel):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from ..lang import ast
+from ..nodes import Frozen
 
 
-@dataclass(frozen=True)
-class KStmt:
+class KStmt(Frozen):
     """Base class of kernel statements."""
 
     def is_residue(self):
         """True for mid-execution wrappers (never produced by translation)."""
         return False
 
-    def __getstate__(self):
-        # The hash cached by ``__hash__`` (see _cache_hash) is salted per
-        # process, so it never crosses a pickle boundary.  A term whose
-        # remaining state is empty pickles as None, like any plain
-        # object, so the emitted reactors' embedded pickles do not
-        # depend on whether a term was hashed before it was written.
-        state = self.__dict__
-        if "_hash" in state:
-            state = {name: value for name, value in state.items()
-                     if name != "_hash"}
-        return state or None
 
-
-@dataclass(frozen=True)
 class Nothing(KStmt):
     """No-op; terminates instantly."""
 
@@ -69,7 +57,6 @@ class Nothing(KStmt):
 NOTHING = Nothing()
 
 
-@dataclass(frozen=True)
 class Pause(KStmt):
     """End the current instant; resume at the next one.
 
@@ -80,12 +67,10 @@ class Pause(KStmt):
     delta: bool = False
 
 
-@dataclass(frozen=True)
 class Halt(KStmt):
     """Stop forever (until pre-empted from outside)."""
 
 
-@dataclass(frozen=True)
 class Emit(KStmt):
     """Emit ``signal``; ``value`` (an AST expression) is evaluated at emit
     time for ``emit_v``."""
@@ -94,7 +79,6 @@ class Emit(KStmt):
     value: Optional[ast.Expr] = None
 
 
-@dataclass(frozen=True)
 class Action(KStmt):
     """An atomic data statement (assignment, data-function call, ...),
     executed by the C evaluator.  Zero time."""
@@ -102,7 +86,6 @@ class Action(KStmt):
     stmt: ast.Stmt = None
 
 
-@dataclass(frozen=True)
 class IfData(KStmt):
     """Branch on a C expression over variables/signal values."""
 
@@ -111,7 +94,6 @@ class IfData(KStmt):
     otherwise: KStmt = NOTHING
 
 
-@dataclass(frozen=True)
 class Present(KStmt):
     """Branch on a signal presence expression."""
 
@@ -120,43 +102,36 @@ class Present(KStmt):
     otherwise: KStmt = NOTHING
 
 
-@dataclass(frozen=True)
 class Seq(KStmt):
     stmts: Tuple[KStmt, ...] = ()
 
 
-@dataclass(frozen=True)
 class Loop(KStmt):
     body: KStmt = NOTHING
 
 
-@dataclass(frozen=True)
 class Par(KStmt):
     branches: Tuple[KStmt, ...] = ()
 
 
-@dataclass(frozen=True)
 class Trap(KStmt):
     """Catch ``Exit(0)`` thrown inside ``body`` (de Bruijn indexing)."""
 
     body: KStmt = NOTHING
 
 
-@dataclass(frozen=True)
 class Exit(KStmt):
     """Exit the trap ``depth`` levels up (0 = innermost)."""
 
     depth: int = 0
 
 
-@dataclass(frozen=True)
 class Await(KStmt):
     """Wait (non-immediately) for a signal expression (paper, stmt 2)."""
 
     cond: ast.SigExpr = None
 
 
-@dataclass(frozen=True)
 class Abort(KStmt):
     """``do body abort(cond) [handle handler]``; non-immediate, i.e. the
     condition is tested from the second instant on (paper, stmt 5)."""
@@ -167,7 +142,6 @@ class Abort(KStmt):
     weak: bool = False
 
 
-@dataclass(frozen=True)
 class Suspend(KStmt):
     """``do body suspend(cond)``; freezes the body in instants where the
     condition holds (after the first instant)."""
@@ -180,7 +154,6 @@ class Suspend(KStmt):
 # Residue wrappers: a started statement carried across an instant.
 
 
-@dataclass(frozen=True)
 class AwaitActive(KStmt):
     """An Await past its first instant boundary: now watching."""
 
@@ -190,7 +163,6 @@ class AwaitActive(KStmt):
         return True
 
 
-@dataclass(frozen=True)
 class AbortActive(KStmt):
     """A started Abort: the condition is live from now on."""
 
@@ -203,7 +175,6 @@ class AbortActive(KStmt):
         return True
 
 
-@dataclass(frozen=True)
 class SuspendActive(KStmt):
     """A started Suspend: the condition is live from now on."""
 
@@ -214,7 +185,6 @@ class SuspendActive(KStmt):
         return True
 
 
-@dataclass(frozen=True)
 class ParActive(KStmt):
     """A started Par; terminated branches are replaced by ``None``."""
 
@@ -222,33 +192,6 @@ class ParActive(KStmt):
 
     def is_residue(self):
         return True
-
-
-def _cache_hash(cls):
-    """Make ``cls`` compute its dataclass field hash once per object.
-
-    Terms are immutable and deeply nested, and the EFSM builder keys
-    dicts by whole residues: without the cache every lookup rehashes the
-    entire term.  The value is the dataclass hash itself, so hashing
-    order and equality are unchanged; it is kept in the instance
-    ``__dict__`` under ``_hash``, which ``KStmt.__getstate__`` leaves
-    out of pickles.
-    """
-    field_hash = cls.__hash__
-
-    def __hash__(self):
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            cached = self.__dict__["_hash"] = field_hash(self)
-        return cached
-
-    cls.__hash__ = __hash__
-
-
-# Every statement type is a direct subclass of KStmt.
-for _term_type in KStmt.__subclasses__():
-    _cache_hash(_term_type)
-del _term_type
 
 
 # ----------------------------------------------------------------------

@@ -6,20 +6,20 @@ expressions and statements, plus the eight reactive constructs of Section
 ``abort``, ``weak_abort``, ``suspend``, ``par``) and the ``module``/
 ``signal`` declaration forms.
 
-All nodes are frozen dataclasses so they can be hashed and shared; every
-node carries a :class:`~repro.lang.source.Span`.
+All nodes are frozen :class:`~repro.nodes.Frozen` records so they can be
+hashed and shared; every node carries a :class:`~repro.lang.source.Span`,
+which equality, hashing and ``repr`` ignore.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
+from ..nodes import Frozen, field
 from .source import SYNTHETIC, Span
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(Frozen):
     """Common base: every AST node has a source span."""
 
     span: Span = field(default=SYNTHETIC, compare=False, repr=False)
@@ -29,29 +29,24 @@ class Node:
 # Expressions
 
 
-@dataclass(frozen=True)
 class Expr(Node):
     pass
 
 
-@dataclass(frozen=True)
 class IntLit(Expr):
     value: int = 0
 
 
-@dataclass(frozen=True)
 class StrLit(Expr):
     value: str = ""
 
 
-@dataclass(frozen=True)
 class Name(Expr):
     """An identifier: variable, signal value, enum constant or function."""
 
     id: str = ""
 
 
-@dataclass(frozen=True)
 class Unary(Expr):
     """Prefix operator: one of ``- + ! ~ &``."""
 
@@ -59,7 +54,6 @@ class Unary(Expr):
     operand: Expr = None
 
 
-@dataclass(frozen=True)
 class IncDec(Expr):
     """``++``/``--``, prefix or postfix."""
 
@@ -68,14 +62,12 @@ class IncDec(Expr):
     postfix: bool = True
 
 
-@dataclass(frozen=True)
 class Binary(Expr):
     op: str = ""
     left: Expr = None
     right: Expr = None
 
 
-@dataclass(frozen=True)
 class Assign(Expr):
     """Assignment, possibly compound (``op`` is ``=``, ``+=``, ...)."""
 
@@ -84,7 +76,6 @@ class Assign(Expr):
     value: Expr = None
 
 
-@dataclass(frozen=True)
 class Cond(Expr):
     """The ternary ``c ? t : f``."""
 
@@ -93,7 +84,6 @@ class Cond(Expr):
     otherwise: Expr = None
 
 
-@dataclass(frozen=True)
 class Call(Expr):
     """A function call; module instantiation shares this syntax (paper,
     ECL statement 9) and is resolved during translation."""
@@ -102,20 +92,17 @@ class Call(Expr):
     args: Tuple[Expr, ...] = ()
 
 
-@dataclass(frozen=True)
 class Index(Expr):
     base: Expr = None
     index: Expr = None
 
 
-@dataclass(frozen=True)
 class Member(Expr):
     base: Expr = None
     name: str = ""
     arrow: bool = False
 
 
-@dataclass(frozen=True)
 class Cast(Expr):
     """``(type) expr``; ``type_name`` is resolved against the TypeTable."""
 
@@ -123,12 +110,10 @@ class Cast(Expr):
     operand: Expr = None
 
 
-@dataclass(frozen=True)
 class SizeofType(Expr):
     type: object = None
 
 
-@dataclass(frozen=True)
 class SizeofExpr(Expr):
     operand: Expr = None
 
@@ -138,14 +123,12 @@ class SizeofExpr(Expr):
 # in await / present / abort / suspend conditions (paper, statement 2).
 
 
-@dataclass(frozen=True)
 class SigExpr(Node):
     def signal_names(self):
         """All signal names mentioned in this presence expression."""
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class SigRef(SigExpr):
     name: str = ""
 
@@ -153,7 +136,6 @@ class SigRef(SigExpr):
         return {self.name}
 
 
-@dataclass(frozen=True)
 class SigNot(SigExpr):
     operand: SigExpr = None
 
@@ -161,7 +143,6 @@ class SigNot(SigExpr):
         return self.operand.signal_names()
 
 
-@dataclass(frozen=True)
 class SigAnd(SigExpr):
     left: SigExpr = None
     right: SigExpr = None
@@ -170,7 +151,6 @@ class SigAnd(SigExpr):
         return self.left.signal_names() | self.right.signal_names()
 
 
-@dataclass(frozen=True)
 class SigOr(SigExpr):
     left: SigExpr = None
     right: SigExpr = None
@@ -183,17 +163,14 @@ class SigOr(SigExpr):
 # Statements
 
 
-@dataclass(frozen=True)
 class Stmt(Node):
     pass
 
 
-@dataclass(frozen=True)
 class ExprStmt(Stmt):
     expr: Expr = None
 
 
-@dataclass(frozen=True)
 class VarDecl(Stmt):
     """A local variable declaration (one declarator; the parser splits
     comma-separated declarator lists into several VarDecls)."""
@@ -203,7 +180,6 @@ class VarDecl(Stmt):
     init: Optional[Expr] = None
 
 
-@dataclass(frozen=True)
 class SignalDecl(Stmt):
     """A local signal declaration inside a module body:
     ``signal pure kill_check;`` or ``signal packet_t packet;``."""
@@ -212,31 +188,26 @@ class SignalDecl(Stmt):
     type: object = None  # PURE for pure signals
 
 
-@dataclass(frozen=True)
 class Block(Stmt):
     body: Tuple[Stmt, ...] = ()
 
 
-@dataclass(frozen=True)
 class If(Stmt):
     cond: Expr = None
     then: Stmt = None
     otherwise: Optional[Stmt] = None
 
 
-@dataclass(frozen=True)
 class While(Stmt):
     cond: Expr = None
     body: Stmt = None
 
 
-@dataclass(frozen=True)
 class DoWhile(Stmt):
     body: Stmt = None
     cond: Expr = None
 
 
-@dataclass(frozen=True)
 class For(Stmt):
     init: Optional[Stmt] = None  # ExprStmt or VarDecl or None
     cond: Optional[Expr] = None
@@ -244,17 +215,14 @@ class For(Stmt):
     body: Stmt = None
 
 
-@dataclass(frozen=True)
 class Break(Stmt):
     pass
 
 
-@dataclass(frozen=True)
 class Continue(Stmt):
     pass
 
 
-@dataclass(frozen=True)
 class Return(Stmt):
     value: Optional[Expr] = None
 
@@ -263,7 +231,6 @@ class Return(Stmt):
 # Reactive statements (paper, Section "ECL Statements")
 
 
-@dataclass(frozen=True)
 class Emit(Stmt):
     """``emit(sig)`` or ``emit_v(sig, value)``."""
 
@@ -271,7 +238,6 @@ class Emit(Stmt):
     value: Optional[Expr] = None
 
 
-@dataclass(frozen=True)
 class Await(Stmt):
     """``await(sig_expr)``; ``await()`` — the delta-cycle form — has
     ``cond is None``."""
@@ -279,19 +245,16 @@ class Await(Stmt):
     cond: Optional[SigExpr] = None
 
 
-@dataclass(frozen=True)
 class Halt(Stmt):
     """``halt()``: stop until pre-empted."""
 
 
-@dataclass(frozen=True)
 class Present(Stmt):
     cond: SigExpr = None
     then: Stmt = None
     otherwise: Optional[Stmt] = None
 
 
-@dataclass(frozen=True)
 class Abort(Stmt):
     """``do body abort(cond) [handle handler]``; ``weak`` selects
     ``weak_abort``."""
@@ -302,7 +265,6 @@ class Abort(Stmt):
     weak: bool = False
 
 
-@dataclass(frozen=True)
 class Suspend(Stmt):
     """``do body suspend(cond)``."""
 
@@ -310,7 +272,6 @@ class Suspend(Stmt):
     cond: SigExpr = None
 
 
-@dataclass(frozen=True)
 class Par(Stmt):
     """``par { s1; s2; ... }`` — synchronous parallel branches."""
 
@@ -321,7 +282,6 @@ class Par(Stmt):
 # Top-level declarations
 
 
-@dataclass(frozen=True)
 class SignalParam(Node):
     """One module signal parameter: direction, type (PURE if pure), name."""
 
@@ -330,13 +290,11 @@ class SignalParam(Node):
     type: object = None
 
 
-@dataclass(frozen=True)
 class FuncParam(Node):
     name: str = ""
     type: object = None
 
 
-@dataclass(frozen=True)
 class ModuleDecl(Node):
     """An ECL module: 'like a subroutine, but may take special parameters
     called signals' (paper, ECL Overview)."""
@@ -346,7 +304,6 @@ class ModuleDecl(Node):
     body: Block = None
 
 
-@dataclass(frozen=True)
 class FuncDef(Node):
     """A plain C function definition (data-only; checked by the splitter)."""
 
@@ -356,13 +313,11 @@ class FuncDef(Node):
     body: Block = None
 
 
-@dataclass(frozen=True)
 class TypedefDecl(Node):
     name: str = ""
     type: object = None
 
 
-@dataclass(frozen=True)
 class TagDecl(Node):
     """A struct/union definition appearing at file scope."""
 
@@ -370,7 +325,6 @@ class TagDecl(Node):
     type: object = None
 
 
-@dataclass(frozen=True)
 class Program(Node):
     """A parsed ECL translation unit."""
 
@@ -392,23 +346,20 @@ class Program(Node):
 # ======================================================================
 # Traversal helpers
 
-_CHILD_FIELDS_CACHE = {}
-
 
 def children(node):
-    """Yield the direct AST-node children of ``node`` (exprs and stmts)."""
+    """The direct AST-node children of ``node`` (exprs and stmts), in
+    field order."""
+    found = []
     if node is None:
-        return
-    for name in node.__dataclass_fields__:
-        if name == "span":
-            continue
+        return found
+    for name in node._fields[1:]:  # all but the span
         value = getattr(node, name)
         if isinstance(value, Node):
-            yield value
+            found.append(value)
         elif isinstance(value, tuple):
-            for item in value:
-                if isinstance(item, Node):
-                    yield item
+            found.extend([item for item in value if isinstance(item, Node)])
+    return found
 
 
 def walk(node):
@@ -419,7 +370,9 @@ def walk(node):
         if current is None:
             continue
         yield current
-        stack.extend(reversed(list(children(current))))
+        found = children(current)
+        found.reverse()
+        stack.extend(found)
 
 
 def contains_reactive(node):

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass
 
 from ..errors import PreprocessorError
+from ..nodes import Record
 from .source import SourceBuffer
 
 _DIRECTIVE_RE = re.compile(r"^\s*#\s*(\w+)\s*(.*)$")
@@ -30,8 +30,7 @@ _IDENT_RE = re.compile(r"[A-Za-z_]\w*")
 _MAX_EXPANSION_DEPTH = 64
 
 
-@dataclass
-class Macro:
+class Macro(Record):
     """A preprocessor macro definition."""
 
     name: str

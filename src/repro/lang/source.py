@@ -8,11 +8,10 @@ it came from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ..nodes import Frozen
 
 
-@dataclass(frozen=True)
-class Position:
+class Position(Frozen):
     """A 1-based line/column position inside a named source buffer."""
 
     line: int
@@ -22,8 +21,7 @@ class Position:
         return "%d:%d" % (self.line, self.column)
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(Frozen):
     """A contiguous region of one source buffer."""
 
     filename: str

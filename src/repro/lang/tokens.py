@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum, auto
 
+from ..nodes import Frozen
 from .source import Span
 
 
@@ -128,8 +128,7 @@ PUNCTUATORS = [
 ]
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(Frozen):
     """One lexical token.
 
     ``value`` is the raw spelling for identifiers/keywords/punctuators and

@@ -12,22 +12,21 @@ simulator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Tuple
 
 from ..errors import TypeError_
+from ..nodes import Frozen, field
 
 #: Machine word size of the modelled target (MIPS R3000: 32-bit).
 WORD_SIZE = 4
 
 
-class Type:
-    """Base class for all C types.  Instances are immutable and hashable."""
+class Type(Frozen):
+    """Base class for all C types.  Instances are immutable and hashable.
 
-    #: Size in bytes.
-    size: int
-    #: Alignment in bytes.
-    align: int
+    Every type has a ``size`` and an ``align``ment in bytes, as a field
+    or as a property.
+    """
 
     def is_scalar(self):
         return False
@@ -39,7 +38,6 @@ class Type:
         return self.__class__.__name__
 
 
-@dataclass(frozen=True)
 class IntType(Type):
     """A (possibly unsigned) integer type of a given byte width."""
 
@@ -79,7 +77,6 @@ class IntType(Type):
         return self.name
 
 
-@dataclass(frozen=True)
 class BoolType(Type):
     """ECL's ``bool``: one byte, values normalized to 0/1.
 
@@ -104,7 +101,6 @@ class BoolType(Type):
         return "bool"
 
 
-@dataclass(frozen=True)
 class VoidType(Type):
     size: int = 0
 
@@ -116,7 +112,6 @@ class VoidType(Type):
         return "void"
 
 
-@dataclass(frozen=True)
 class PureType(Type):
     """The 'type' of a pure signal: presence only, no value (paper,
     Section "ECL Overview").  Zero storage."""
@@ -131,7 +126,6 @@ class PureType(Type):
         return "pure"
 
 
-@dataclass(frozen=True)
 class PointerType(Type):
     """Pointers appear only in generated glue-code signatures."""
 
@@ -152,7 +146,6 @@ class PointerType(Type):
         return "%s *" % self.target
 
 
-@dataclass(frozen=True)
 class ArrayType(Type):
     element: Type
     length: int
@@ -176,8 +169,7 @@ class ArrayType(Type):
         return "%s[%d]" % (self.element, self.length)
 
 
-@dataclass(frozen=True)
-class Field:
+class Field(Frozen):
     """A named member of a struct or union, with its byte offset."""
 
     name: str
@@ -190,7 +182,6 @@ def _align_up(value, alignment):
     return value if remainder == 0 else value + alignment - remainder
 
 
-@dataclass(frozen=True)
 class StructType(Type):
     """A C struct with computed member offsets and tail padding."""
 
@@ -232,7 +223,6 @@ class StructType(Type):
         return "struct %s" % self.tag
 
 
-@dataclass(frozen=True)
 class UnionType(Type):
     """A C union: all members at offset 0, size = max member size."""
 

@@ -20,49 +20,34 @@ The legacy :class:`repro.core.EclCompiler` API is a compatibility shim
 over this package.
 """
 
-from .artifacts import (
-    Artifact,
-    ArtifactKey,
-    SCHEMA_VERSION,
-    digest_design_inputs,
-    digest_options,
-    digest_text,
-)
-from .cache import ArtifactCache, CacheStats, default_cache_root
-from .registry import (
-    Backend,
-    BackendRegistry,
-    DEFAULT_REGISTRY,
-    EmitInput,
-    backend,
-)
-from .report import BuildReport, ModuleBuild, StageTiming
-from .stages import CompileOptions, STAGES, Stage, stage_named
-from .pipeline import DesignBuild, ModuleHandle, Pipeline
+from ..lazy import lazy_exports
 
-__all__ = [
-    "Artifact",
-    "ArtifactKey",
-    "ArtifactCache",
-    "Backend",
-    "BackendRegistry",
-    "BuildReport",
-    "CacheStats",
-    "CompileOptions",
-    "DEFAULT_REGISTRY",
-    "DesignBuild",
-    "EmitInput",
-    "ModuleBuild",
-    "ModuleHandle",
-    "Pipeline",
-    "SCHEMA_VERSION",
-    "STAGES",
-    "Stage",
-    "StageTiming",
-    "backend",
-    "default_cache_root",
-    "digest_design_inputs",
-    "digest_options",
-    "digest_text",
-    "stage_named",
-]
+_EXPORTS = {
+    "Artifact": ".artifacts",
+    "ArtifactKey": ".artifacts",
+    "SCHEMA_VERSION": ".artifacts",
+    "digest_design_inputs": ".artifacts",
+    "digest_options": ".artifacts",
+    "digest_text": ".artifacts",
+    "ArtifactCache": ".cache",
+    "CacheStats": ".cache",
+    "default_cache_root": ".cache",
+    "Backend": ".registry",
+    "BackendRegistry": ".registry",
+    "DEFAULT_REGISTRY": ".registry",
+    "EmitInput": ".registry",
+    "backend": ".registry",
+    "BuildReport": ".report",
+    "ModuleBuild": ".report",
+    "StageTiming": ".report",
+    "CompileOptions": ".stages",
+    "STAGES": ".stages",
+    "Stage": ".stages",
+    "stage_named": ".stages",
+    "DesignBuild": ".pipeline",
+    "ModuleHandle": ".pipeline",
+    "Pipeline": ".pipeline",
+}
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)
+__all__ = [*_EXPORTS]

@@ -15,8 +15,8 @@ from __future__ import annotations
 import hashlib
 import os
 import re
-import uuid
-from dataclasses import dataclass, field, fields
+
+from ..nodes import Frozen, Record, field
 
 #: Bumped whenever the meaning of a stage payload changes, so persistent
 #: caches from older layouts can never serve stale artifacts.
@@ -59,6 +59,8 @@ def digest_design_inputs(text, filename="<string>", include_paths=(),
                   .encode("utf-8"))
     if not _hash_includes(text, filename, include_paths, hasher,
                           visited=set(), depth=0):
+        import uuid
+
         return "uncacheable:" + uuid.uuid4().hex
     return hasher.hexdigest()
 
@@ -143,13 +145,12 @@ def digest_options(options):
     from .. import __version__
 
     parts = ["schema=%s" % SCHEMA_VERSION, "version=%s" % __version__]
-    for f in sorted(fields(options), key=lambda f: f.name):
-        parts.append("%s=%r" % (f.name, getattr(options, f.name)))
+    for name in sorted(options._fields):
+        parts.append("%s=%r" % (name, getattr(options, name)))
     return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True)
-class ArtifactKey:
+class ArtifactKey(Frozen):
     """Identity of one stage output: (source, options, stage, module)."""
 
     source: str            # digest of the translation unit's text
@@ -176,8 +177,7 @@ class ArtifactKey:
         return "%s/%s@%s" % (scope, self.stage, self.cache_id[:12])
 
 
-@dataclass
-class Artifact:
+class Artifact(Record):
     """One stage output: a typed payload under a content address."""
 
     key: ArtifactKey

@@ -23,9 +23,9 @@ import re
 import tempfile
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Optional
 
+from ..nodes import Record
 from .artifacts import Artifact, ArtifactKey
 
 #: Environment variable overriding the default persistent cache root.
@@ -57,8 +57,7 @@ def default_cache_root():
     return os.path.join(base, "ecl-repro")
 
 
-@dataclass
-class CacheStats:
+class CacheStats(Record):
     """Counters for one cache instance."""
 
     hits: int = 0

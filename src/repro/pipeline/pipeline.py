@@ -28,14 +28,12 @@ from __future__ import annotations
 import hashlib
 import os
 import threading
-import uuid
 from concurrent.futures import ThreadPoolExecutor
 from time import perf_counter
 from typing import Dict, List
 
 from .. import telemetry
 from ..errors import CodegenError, CompileError, EclError
-from ..runtime.reactor import Reactor
 from .artifacts import ArtifactKey, digest_design_inputs, digest_options
 from .cache import ArtifactCache
 from .registry import DEFAULT_REGISTRY, EmitInput
@@ -177,10 +175,14 @@ class DesignBuild:
         # The digest covers the text, the include/predefine options and
         # every #include-reachable file, so edits anywhere in the
         # translation unit's inputs invalidate its artifacts.
-        self.source_digest = digest_design_inputs(
-            text, filename, include_paths=self.include_paths,
-            predefined=predefined) if text is not None \
-            else "adopted:" + uuid.uuid4().hex
+        if text is not None:
+            self.source_digest = digest_design_inputs(
+                text, filename, include_paths=self.include_paths,
+                predefined=predefined)
+        else:
+            import uuid
+
+            self.source_digest = "adopted:" + uuid.uuid4().hex
         self._parsed = parsed
         self._parse_lock = threading.Lock()
         self._handles: Dict[str, ModuleHandle] = {}
@@ -488,6 +490,7 @@ class ModuleHandle:
             return EfsmReactor(self.efsm(), counter=counter,
                                builtins=builtins)
         if engine == "interp":
+            from ..runtime.reactor import Reactor
             return Reactor(self.kernel(), counter=counter,
                            builtins=builtins)
         if engine == "vector":

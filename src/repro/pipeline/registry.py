@@ -12,11 +12,13 @@ register themselves with the :func:`backend` decorator::
         bundle = generate_c(build.efsm, build.types)
         return {build.name + ".c": bundle.source, ...}
 
-The registry loads its built-in entry points (the modules under
-:mod:`repro.codegen`) lazily on first query, so importing the pipeline
-costs nothing and third-party emitters can register before or after the
-built-ins.  ``eclc compile --emit`` choices are derived from
-:meth:`BackendRegistry.names`, never hardcoded.
+The built-in entry points are a static ``{name: module}`` table
+(:data:`ENTRY_POINTS`): :meth:`BackendRegistry.names` answers from it
+without importing anything, and :meth:`BackendRegistry.get` imports only
+the module of the backend asked for, so ``eclc build --emit c,native``
+loads the C and native emitters and no other.  Third-party emitters can
+register before or after the built-ins.  ``eclc compile --emit`` choices
+are derived from :meth:`BackendRegistry.names`, never hardcoded.
 """
 
 from __future__ import annotations
@@ -24,31 +26,29 @@ from __future__ import annotations
 import functools
 import hashlib
 import importlib
-import inspect
 import threading
-from dataclasses import dataclass
 from typing import Callable, Dict, Tuple
 
 from ..errors import CompileError
+from ..nodes import Frozen, Record
 
-#: Built-in emitter entry points, imported on first registry query.
-#: Each module registers one Backend via the :func:`backend` decorator.
-ENTRY_POINTS = (
-    "repro.codegen.c_backend",
-    "repro.codegen.py_backend",
-    "repro.codegen.native_backend",
-    "repro.codegen.vhdl_backend",
-    "repro.codegen.verilog_backend",
-    "repro.codegen.esterel_backend",
-    "repro.codegen.dot_backend",
-)
+#: Built-in emitter entry points: backend name -> the module that
+#: registers it (via the :func:`backend` decorator) when imported.
+ENTRY_POINTS = {
+    "c": "repro.codegen.c_backend",
+    "py": "repro.codegen.py_backend",
+    "native": "repro.codegen.native_backend",
+    "vhdl": "repro.codegen.vhdl_backend",
+    "verilog": "repro.codegen.verilog_backend",
+    "esterel": "repro.codegen.esterel_backend",
+    "dot": "repro.codegen.dot_backend",
+}
 
 #: Artifact kinds an emitter may request in ``requires``.
 EMIT_INPUTS = ("source", "types", "kernel", "efsm")
 
 
-@dataclass
-class EmitInput:
+class EmitInput(Record):
     """Snapshot of one module's compilation products handed to an
     emitter.  Only the fields named in the backend's ``requires`` are
     populated; the rest stay None."""
@@ -60,8 +60,7 @@ class EmitInput:
     efsm: object = None          # phase-2 automaton (per-options variant)
 
 
-@dataclass(frozen=True)
-class Backend:
+class Backend(Frozen):
     """One registered emitter."""
 
     name: str
@@ -82,6 +81,8 @@ class Backend:
         metadata plus (best effort) the emit function's source.  Folded
         into emit-stage cache keys so replacing a backend under the
         same name invalidates its persisted artifacts."""
+        import inspect
+
         try:
             body = inspect.getsource(self.emit)
         except (OSError, TypeError):
@@ -95,12 +96,15 @@ class Backend:
 
 
 class BackendRegistry:
-    """Name → :class:`Backend` mapping with lazy entry-point loading."""
+    """Name → :class:`Backend` mapping with lazy entry-point loading.
 
-    def __init__(self, entry_points=()):
-        self._entry_points = tuple(entry_points)
+    ``entry_points`` is a ``{name: module}`` table; a module is imported
+    when its backend is first asked for.
+    """
+
+    def __init__(self, entry_points=None):
+        self._pending = dict(entry_points or {})
         self._backends: Dict[str, Backend] = {}
-        self._loaded = False
         self._lock = threading.Lock()
         # Separate from _lock: held across the entry-point imports,
         # during which the imported modules re-enter register().
@@ -130,7 +134,9 @@ class BackendRegistry:
         return wrap
 
     def get(self, name) -> Backend:
-        self.load_entry_points()
+        module = self._pending.get(name)
+        if module is not None and name not in self._backends:
+            self._load((module,))
         try:
             return self._backends[name]
         except KeyError:
@@ -139,37 +145,33 @@ class BackendRegistry:
                 % (name, ", ".join(self.names()) or "none")) from None
 
     def __contains__(self, name):
-        self.load_entry_points()
-        return name in self._backends
+        return name in self._backends or name in self._pending
 
     def names(self):
-        """Sorted backend names (drives ``eclc --emit`` choices)."""
-        self.load_entry_points()
-        return sorted(self._backends)
+        """Sorted backend names (drives ``eclc --emit`` choices); a
+        static entry-point table answers without importing."""
+        return sorted(set(self._backends) | set(self._pending))
 
     def backends(self):
-        self.load_entry_points()
+        """Every backend, importing all entry-point modules."""
+        self._load(tuple(self._pending.values()))
         return [self._backends[name] for name in self.names()]
 
-    def load_entry_points(self):
-        """Import the built-in emitter modules exactly once.
+    def _load(self, modules):
+        """Import entry-point ``modules``.
 
         Concurrent first queries block until the imports finish, so no
         caller ever observes a partially-populated registry; a failed
-        import leaves ``_loaded`` False and is retried next query.
+        import is retried next query.
         """
-        if self._loaded:
-            return
         with self._load_lock:
-            if self._loaded:
-                return
-            for module_name in self._entry_points:
+            for module_name in modules:
                 importlib.import_module(module_name)
             # Decorator registrations land in DEFAULT_REGISTRY; a
             # custom registry inherits the backends its entry-point
             # modules defined (its own registrations take precedence).
-            if self is not DEFAULT_REGISTRY and self._entry_points:
-                wanted = set(self._entry_points)
+            if self is not DEFAULT_REGISTRY:
+                wanted = set(modules)
                 with DEFAULT_REGISTRY._lock:
                     inherited = [b for b in
                                  DEFAULT_REGISTRY._backends.values()
@@ -177,7 +179,10 @@ class BackendRegistry:
                 with self._lock:
                     for entry in inherited:
                         self._backends.setdefault(entry.name, entry)
-            self._loaded = True
+            with self._lock:
+                self._pending = {name: module for name, module
+                                 in self._pending.items()
+                                 if module not in modules}
 
 
 #: The process-wide registry the decorator and the CLI use.

@@ -10,12 +10,12 @@ discipline verification flows build their tooling around.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..nodes import Record, field
 
-@dataclass
-class StageTiming:
+
+class StageTiming(Record):
     """One stage execution inside one module's build."""
 
     stage: str
@@ -28,8 +28,7 @@ class StageTiming:
         return "%s (%s)" % (self.stage, marker)
 
 
-@dataclass
-class ModuleBuild:
+class ModuleBuild(Record):
     """Build outcome of one module."""
 
     module: str
@@ -70,8 +69,7 @@ class ModuleBuild:
         return "  ".join(bits)
 
 
-@dataclass
-class BuildReport:
+class BuildReport(Record):
     """Outcome of one batched design compilation."""
 
     design: str                      # filename / label of the unit

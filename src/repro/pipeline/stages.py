@@ -15,8 +15,6 @@ stages are named ``emit:<backend>`` after the registered backend.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..ecl.check import check_module, errors_of, warnings_of
 from ..ecl.splitter import split_module
 from ..ecl.translate import translate_module
@@ -24,10 +22,10 @@ from ..efsm.build import build_efsm
 from ..efsm.optimize import optimize as optimize_efsm
 from ..errors import CompileError
 from ..lang.parser import parse_text
+from ..nodes import Frozen, Record
 
 
-@dataclass
-class CompileOptions:
+class CompileOptions(Record):
     """Knobs for the compilation pipeline (ablation hooks included)."""
 
     #: Extract data loops as C functions (paper's splitter heuristic);
@@ -43,8 +41,7 @@ class CompileOptions:
     strict: bool = False
 
 
-@dataclass(frozen=True)
-class Stage:
+class Stage(Frozen):
     """Descriptor of one pipeline stage."""
 
     name: str

@@ -7,23 +7,23 @@
 * :mod:`repro.runtime.network` — lock-step synchronous composition
 """
 
-from .ceval import BuiltinFunction, Env, Evaluator, call_function
-from .memory import AddressSpace, LValue, Variable, decode_scalar, encode_scalar
-from .signals import SignalSlot, SignalTable
-from .vcd import VcdRecorder, record_run
+from ..lazy import lazy_exports
 
-__all__ = [
-    "AddressSpace",
-    "BuiltinFunction",
-    "Env",
-    "Evaluator",
-    "LValue",
-    "SignalSlot",
-    "SignalTable",
-    "Variable",
-    "VcdRecorder",
-    "record_run",
-    "call_function",
-    "decode_scalar",
-    "encode_scalar",
-]
+_EXPORTS = {
+    "AddressSpace": ".memory",
+    "BuiltinFunction": ".ceval",
+    "Env": ".ceval",
+    "Evaluator": ".ceval",
+    "LValue": ".memory",
+    "SignalSlot": ".signals",
+    "SignalTable": ".signals",
+    "Variable": ".memory",
+    "VcdRecorder": ".vcd",
+    "record_run": ".vcd",
+    "call_function": ".ceval",
+    "decode_scalar": ".memory",
+    "encode_scalar": ".memory",
+}
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)
+__all__ = [*_EXPORTS]

@@ -57,7 +57,6 @@ import os
 import re
 import sys
 import tempfile
-from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from ..efsm.machine import (
@@ -79,6 +78,7 @@ from ..lang.types import (
     StructType,
     UnionType,
 )
+from ..nodes import Record, field
 from .ceval import Env, Evaluator, _c_div, _c_rem, _promote
 from .memory import AddressSpace, Variable
 from .reactor import ReactorOutput
@@ -211,8 +211,7 @@ class NativeSignalTable(SignalTable):
 # The compiled-code bundle.
 
 
-@dataclass
-class NativeCode:
+class NativeCode(Record):
     """Picklable result of lowering one EFSM (see :func:`compile_native`).
 
     ``source`` defines one function per state plus a ``STATE_FUNCS``
@@ -334,25 +333,6 @@ def _oob(index, length, type_text):
 # Static analysis: which names can live in the flat slot array.
 
 
-def _walk_ast(root):
-    """Every dataclass node reachable from ``root`` (exprs and stmts)."""
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if node is None:
-            continue
-        if isinstance(node, (tuple, list)):
-            stack.extend(node)
-            continue
-        if not hasattr(node, "__dataclass_fields__"):
-            continue
-        yield node
-        for name in node.__dataclass_fields__:
-            if name == "span":
-                continue
-            stack.append(getattr(node, name, None))
-
-
 def _data_roots(efsm):
     """Every C expression/statement embedded in the reaction trees plus
     the module's C function bodies."""
@@ -365,7 +345,7 @@ def _data_roots(efsm):
             elif isinstance(node, DoEmit) and node.value is not None:
                 yield node.value
     for function in (efsm.module.functions or {}).values():
-        if hasattr(function, "__dataclass_fields__"):
+        if isinstance(function, ast.Node):
             yield function
 
 
@@ -374,7 +354,7 @@ def _address_taken(efsm):
     byte storage so pointers into them stay meaningful."""
     names = set()
     for root in _data_roots(efsm):
-        for node in _walk_ast(root):
+        for node in ast.walk(root):
             if not isinstance(node, ast.Unary) or node.op != "&":
                 continue
             if isinstance(node.operand, ast.Name):
@@ -1452,8 +1432,7 @@ class NativeReactor:
 # (trace-for-trace identical to the step()/react_many paths).
 
 
-@dataclass
-class TraceDriverCode:
+class TraceDriverCode(Record):
     """Picklable compiled driver for one (module, stimulus-spec) pair."""
 
     module: str
@@ -1672,8 +1651,7 @@ def compile_trace_driver(efsm, code, length, present_prob, value_range, budget=0
 # Partition bundles: one content-addressed artifact per RTOS partition.
 
 
-@dataclass
-class PartitionTask:
+class PartitionTask(Record):
     """One task of a partition bundle, fully self-contained."""
 
     name: str
@@ -1685,8 +1663,7 @@ class PartitionTask:
     code: NativeCode = None
 
 
-@dataclass
-class PartitionBundle:
+class PartitionBundle(Record):
     """Every task's lowered :class:`NativeCode` (plus its EFSM and
     bindings) in one artifact — what the farm's ``rtos`` engine binds
     when the task engine is ``native``.  The pipeline content-addresses

@@ -15,18 +15,16 @@ is the reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Set
 
 from ..errors import EvalError
-from ..esterel.interp import KernelRunner
+from ..nodes import Record, field
 from .ceval import Env
 from .memory import AddressSpace
 from .signals import SignalSlot, SignalTable
 
 
-@dataclass
-class ReactorOutput:
+class ReactorOutput(Record):
     """What one instant produced at the module boundary."""
 
     emitted: Set[str] = field(default_factory=set)
@@ -44,6 +42,8 @@ class Reactor:
     :class:`~repro.ecl.module.KernelModule`."""
 
     def __init__(self, module, counter=None, builtins=None):
+        from ..esterel.interp import KernelRunner
+
         self.module = module
         self.space = AddressSpace(module.name)
         functions = dict(module.functions)

@@ -92,8 +92,8 @@ class TestRegistry:
 
     def test_custom_registry_inherits_its_entry_points(self):
         registry = BackendRegistry(
-            entry_points=("repro.codegen.c_backend",
-                          "repro.codegen.dot_backend"))
+            entry_points={"c": "repro.codegen.c_backend",
+                          "dot": "repro.codegen.dot_backend"})
         assert registry.names() == ["c", "dot"]
         with pytest.raises(CompileError):
             registry.get("vhdl")   # not among its entry points
@@ -371,7 +371,7 @@ module fixed (input pure go, output int level)
     def test_replaced_backend_invalidates_emit_artifacts(self, tmp_path):
         root = str(tmp_path / "cache")
         registry = BackendRegistry(
-            entry_points=("repro.codegen.dot_backend",))
+            entry_points={"dot": "repro.codegen.dot_backend"})
         warm_files = Pipeline(cache=ArtifactCache.persistent(root),
                               registry=registry) \
             .compile_design(ECHO, emit=("dot",)).files()
