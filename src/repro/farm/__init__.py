@@ -12,9 +12,8 @@ The model, in three nouns:
 * **Job** (:mod:`repro.farm.jobs`) — one ``design x module x engine x
   stimulus x horizon`` cell with a deterministic derived seed;
   :class:`SimJob` is frozen and picklable, so a job is also a
-  reproduction recipe.  Engines (:mod:`repro.farm.engines`) adapt the
-  interpreter, the compiled EFSM, the closure-compiled native engine
-  and the simulated RTOS to one ``step()`` protocol; the opt-in
+  reproduction recipe.  Each job runs through its engine's adapter
+  from :mod:`repro.engines` (``get_engine(name).build``); the opt-in
   ``equivalence`` mode runs the interpreter in lockstep with both
   compiled engines and flags the first divergence.
 * **Ledger** (:mod:`repro.farm.ledger`) — where traces go:
@@ -29,9 +28,7 @@ Entry points: :class:`SimulationFarm` in-process, ``eclc farm run``
 on the command line (flags or a JSON batch spec,
 :mod:`repro.farm.spec`).
 
-Engine resolution moved to the unified registry :mod:`repro.engines`
-(``get_engine(name)``); the package-level ``ENGINES`` /
-``build_engine`` re-exports remain as deprecated shims.
+Traces are lists of :mod:`repro.farm.engines` records.
 """
 
 from .farm import FarmReport, SimulationFarm
@@ -41,28 +38,7 @@ from .ledger import TraceLedger, check_tenant, default_ledger_root
 from .spec import expand_document, inline_spec, load_designs, load_spec
 from .worker import WorkerState
 
-#: Legacy engine entry points, kept importable for old call sites.
-#: Access warns: resolve engines via ``repro.engines.get_engine``.
-_DEPRECATED_ENGINE_EXPORTS = ("ENGINES", "build_engine")
-
-
-def __getattr__(name):
-    if name in _DEPRECATED_ENGINE_EXPORTS:
-        import warnings
-
-        warnings.warn(
-            "repro.farm.%s is deprecated; use repro.engines.get_engine() "
-            "(adapters stay in repro.farm.engines)" % name,
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from . import engines
-
-        return getattr(engines, name)
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))
-
 __all__ = [
-    "ENGINES",
     "ENGINE_NAMES",
     "TASK_ENGINE_NAMES",
     "FarmReport",
@@ -72,7 +48,6 @@ __all__ = [
     "StimulusSpec",
     "TraceLedger",
     "WorkerState",
-    "build_engine",
     "check_tenant",
     "default_ledger_root",
     "expand_document",

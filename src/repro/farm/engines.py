@@ -1,88 +1,11 @@
-"""The farm's ``Engine`` protocol: one step() surface, three engines.
+"""The farm's trace-record format.
 
-An engine adapts one execution style to a uniform per-instant
-interface::
-
-    engine = build_engine("efsm", handle_provider, job)
-    record = engine.step({"in_byte": 65})     # one instant
-    engine.terminated                          # module finished?
-
-``step`` takes the instant's input dict (``name -> value-or-None``) and
-returns a plain-data record ``{"inputs", "emitted", "values"}`` that is
-directly JSON-serializable — the currency of the
-:class:`~repro.farm.ledger.TraceLedger` and of cross-engine
-equivalence comparison.
-
-Engines:
-
-* ``interp`` — the reference kernel interpreter
-  (:class:`repro.runtime.reactor.Reactor`);
-* ``efsm``   — the compiled automaton
-  (:class:`repro.codegen.py_backend.EfsmReactor`);
-* ``native`` — the closure-compiled reaction functions
-  (:class:`repro.runtime.native.NativeReactor`), the fastest software
-  engine; it additionally offers ``step_many`` (batched instants) and
-  ``run_spec`` (a compiled whole-trace driver loop per (design,
-  stimulus-spec) pair — zero per-instant dict handling);
-* ``vector`` — the numpy multi-instance engine
-  (:class:`~repro.runtime.vector.VectorReactor`): per job it behaves
-  exactly like ``native``, but workers fuse same-sweep vector jobs
-  into one matrix sweep (see :meth:`repro.farm.worker.WorkerState
-  .run_sweep`); requires numpy (:class:`~repro.errors
-  .EngineUnavailable` otherwise);
-* ``rtos``   — the module (or a multi-task partition of the design)
-  under the simulated priority kernel
-  (:class:`repro.rtos.kernel.RtosKernel`): each instant posts the
-  step's events and runs the dispatch cascade to quiescence, so one
-  record may cover several task reactions.  ``job.task_engine``
-  selects what runs inside each task ("efsm" default; "native" binds
-  closure-compiled reactors from one content-addressed partition
-  bundle and dispatches through the slot-indexed fast path); the
-  engine reports the kernel's operation counters via
-  ``kernel_stats()``.
-
-``equivalence`` is not an engine class: the executor runs ``interp``
-in lockstep with both compiled engines (``efsm`` and ``native``) and
-compares records (see :func:`compare_records`).
+Every engine adapter (:mod:`repro.engines`) turns one instant into a
+plain-data record ``{"inputs", "emitted", "values"}`` that is directly
+JSON-serializable — the currency of the
+:class:`~repro.farm.ledger.TraceLedger`, of the property monitors and
+of cross-engine equivalence comparison (:func:`compare_records`).
 """
-
-from __future__ import annotations
-
-from typing import Callable, Dict
-
-from ..errors import EclError
-from ..runtime.reactor import Reactor
-
-#: name -> factory(handles, job) for registered engine adapters.
-ENGINES: Dict[str, Callable] = {}
-
-
-def register_engine(name):
-    """Class decorator adding an engine adapter to :data:`ENGINES`."""
-
-    def wrap(cls):
-        ENGINES[name] = cls
-        cls.name = name
-        return cls
-
-    return wrap
-
-
-def build_engine(name, handles, job):
-    """Instantiate the adapter registered under ``name``.
-
-    ``handles(module_name)`` must return the pipeline
-    :class:`~repro.pipeline.pipeline.ModuleHandle` of a module of the
-    job's design (workers pass their per-process cached provider).
-    """
-    try:
-        factory = ENGINES[name]
-    except KeyError:
-        raise EclError(
-            "unknown engine %r (available: %s)"
-            % (name, ", ".join(sorted(ENGINES)))
-        )
-    return factory(handles, job)
 
 
 def jsonable_value(value):
@@ -121,272 +44,3 @@ def compare_records(left, right):
             right["values"],
         )
     return None
-
-
-class ReactorEngine:
-    """Shared adapter for the two synchronous one-module engines."""
-
-    def __init__(self, reactor):
-        self.reactor = reactor
-
-    @property
-    def terminated(self):
-        return self.reactor.terminated
-
-    def enable_coverage(self, coverage):
-        """Attach a coverage map when the underlying reactor supports
-        state/transition marking (efsm and native engines do; the
-        interpreter has no EFSM states, so only record-level emit
-        marking applies to it).  Returns True when the reactor is
-        instrumented — its per-instant probe then also marks emits, so
-        the caller must not re-mark them from records."""
-        hook = getattr(self.reactor, "enable_coverage", None)
-        if hook is None:
-            return False
-        hook(coverage)
-        return True
-
-    def input_alphabet(self):
-        """``(name, is_pure)`` pairs for stimulus generation.
-
-        Aggregate-valued inputs (structs, unions, arrays) are excluded:
-        a random int is not a valid sample of those, so the generator
-        only drives pure and scalar-valued signals.
-        """
-        return [
-            (slot.name, slot.is_pure)
-            for slot in self.reactor.signals.inputs()
-            if slot.is_pure or slot.type.is_scalar()
-        ]
-
-    def step(self, instant):
-        pure = [name for name, value in instant.items() if value is None]
-        valued = {name: value for name, value in instant.items() if value is not None}
-        output = self.reactor.react(inputs=pure, values=valued)
-        return make_record(instant, output.emitted, output.values)
-
-
-@register_engine("interp")
-class InterpEngine(ReactorEngine):
-    """Reference semantics: the kernel-term interpreter."""
-
-    def __init__(self, handles, job):
-        handle = handles(job.module)
-        super().__init__(Reactor(handle.kernel()))
-
-
-@register_engine("efsm")
-class EfsmEngine(ReactorEngine):
-    """Compiled automaton: one decision-tree walk per instant."""
-
-    def __init__(self, handles, job):
-        from ..codegen.py_backend import EfsmReactor
-
-        handle = handles(job.module)
-        super().__init__(EfsmReactor(handle.efsm()))
-
-
-@register_engine("native")
-class NativeEngine(ReactorEngine):
-    """Closure-compiled reactions: straight-line Python per state.
-
-    The lowered code bundle comes from the pipeline's ``native`` stage,
-    so every reactor of one design binds the same cached
-    :class:`~repro.runtime.native.NativeCode` — no per-job codegen.
-    """
-
-    def __init__(self, handles, job):
-        from ..runtime.native import NativeReactor
-
-        self._handle = handles(job.module)
-        super().__init__(
-            NativeReactor(self._handle.efsm(), code=self._handle.native_code())
-        )
-
-    def step_many(self, instants):
-        """Run a whole stimulus through the reactor's batched-instant
-        loop; returns one record per executed instant (the loop stops
-        early when the module terminates)."""
-        outputs = self.reactor.react_many(instants)
-        return [
-            make_record(instant, output.emitted, output.values)
-            for instant, output in zip(instants, outputs)
-        ]
-
-    def run_spec(self, job):
-        """The whole-trace fast path: run the job's *random* stimulus
-        through a compiled driver loop (pipeline stage
-        ``trace-driver``, one per (design, stimulus-spec) pair) — no
-        per-instant dict handling on the injection side.  Returns the
-        record list, or None when the stimulus is not driver-shaped
-        (explicit traces replay through step_many)."""
-        spec = job.stimulus
-        if spec.kind != "random":
-            return None
-        driver = self._handle.trace_driver(
-            spec.length,
-            spec.present_prob,
-            tuple(spec.value_range),
-            budget=job.instant_budget,
-        )
-        return self.reactor.run_trace(driver, job.seed)
-
-
-@register_engine("vector")
-class VectorEngine(NativeEngine):
-    """Many-instance numpy execution (requires numpy).
-
-    Per-job semantics are scalar-exact — one vector job replayed alone
-    produces the native engine's records, coverage and status for the
-    same seed — but the farm worker fuses jobs that share a sweep key
-    (design, module, stimulus, horizon, properties, coverage) into one
-    :meth:`~repro.runtime.vector.VectorReactor.run_specs` call, so a
-    1000-job campaign round costs one vectorized sweep instead of 1000
-    driver loops.  As a per-job adapter this class *is* the native
-    engine (step/step_many replay explicit traces identically); it
-    exists so single-job paths — serving-layer entries, local campaign
-    replays, minimization — run vector jobs without special cases.
-    ``run_spec`` is inherited: a lone random-stimulus vector job runs
-    the compiled scalar driver, which the sweep is bit-compatible with.
-    """
-
-    def __init__(self, handles, job):
-        from ..runtime.vector import require_numpy
-
-        require_numpy("vector")
-        super().__init__(handles, job)
-        # Warm the content-addressed bundle so pooled workers compile
-        # the vector twin once per design, not once per sweep.
-        self._handle.vector_code()
-
-
-@register_engine("rtos")
-class RtosEngine:
-    """The design under the simulated RTOS.
-
-    With ``job.tasks`` empty, one task wraps ``job.module``; otherwise
-    each ``(task_name, module_name, priority[, bindings])`` entry
-    becomes one task and signals route between tasks by (bound) name,
-    exactly as :func:`repro.core.partition.run_partition` wires
-    Table 1's asynchronous rows.
-
-    ``job.task_engine`` selects what runs inside each task:
-
-    * ``"efsm"`` (default) — the compiled-automaton tree walker, the
-      reference for cross-task-engine equivalence;
-    * ``"native"`` — closure-compiled reactors bound from one
-      content-addressed partition bundle
-      (:meth:`~repro.pipeline.pipeline.DesignBuild.partition_bundle`),
-      dispatched through the task's slot-indexed fast path;
-    * ``"interp"`` — the kernel-term interpreter (slowest, for
-      three-way checks).
-    """
-
-    def __init__(self, handles, job):
-        from ..rtos.kernel import RtosKernel
-        from ..rtos.tasks import RtosTask
-
-        task_engine = getattr(job, "task_engine", "") or "efsm"
-        self.task_engine = task_engine
-        self.kernel = RtosKernel(name=job.label())
-        specs = job.tasks or ((job.module, job.module, 1),)
-        if task_engine == "native":
-            # All task reactors bind from one content-addressed bundle.
-            bundle = handles(specs[0][1]).design.partition_bundle(specs)
-            from ..runtime.native import NativeReactor
-
-            for entry in bundle.tasks:
-                reactor = NativeReactor(entry.efsm, code=entry.code)
-                self.kernel.add_task(
-                    RtosTask(
-                        entry.name,
-                        reactor,
-                        priority=entry.priority,
-                        bindings=dict(entry.bindings),
-                    )
-                )
-        else:
-            for spec in specs:
-                task_name, module_name, priority = spec[0], spec[1], spec[2]
-                bindings = dict(spec[3]) if len(spec) > 3 else None
-                reactor = self._task_reactor(handles(module_name), task_engine)
-                self.kernel.add_task(
-                    RtosTask(
-                        task_name,
-                        reactor,
-                        priority=priority,
-                        bindings=bindings,
-                    )
-                )
-        self.kernel.start()
-        self._alphabet = None
-
-    @staticmethod
-    def _task_reactor(handle, task_engine):
-        if task_engine == "efsm":
-            from ..codegen.py_backend import EfsmReactor
-
-            return EfsmReactor(handle.efsm())
-        if task_engine == "interp":
-            return Reactor(handle.kernel())
-        raise EclError(
-            "unknown rtos task engine %r (one of: efsm, native, interp)"
-            % task_engine
-        )
-
-    def kernel_stats(self):
-        """The kernel's raw counters plus the network lost-event total
-        (what :class:`~repro.farm.jobs.SimResult` carries back)."""
-        return self.kernel.stats_dict()
-
-    def enable_coverage(self, coverage):
-        """Attach coverage to every task reactor that supports it.
-
-        ``coverage`` is one :class:`~repro.verify.coverage.CoverageMap`
-        (single-module job) or a dict mapping partition-member module
-        names to maps (partitioned job) — tasks wrapping the same
-        module share one map, so their marks merge per module.  Returns
-        True only when *every* task reactor was instrumented (interp
-        task reactors cannot be; the caller then falls back to
-        record-level emit marking).
-        """
-        maps = coverage if isinstance(coverage, dict) else None
-        attached = bool(self.kernel.tasks)
-        for task in self.kernel.tasks:
-            if maps is None:
-                target = coverage
-            else:
-                target = maps.get(task.reactor.module.name)
-            hook = getattr(task.reactor, "enable_coverage", None)
-            if hook is None or target is None:
-                attached = False
-                continue
-            hook(target)
-        return attached
-
-    @property
-    def terminated(self):
-        return all(task.reactor.terminated for task in self.kernel.tasks)
-
-    def input_alphabet(self):
-        """Environment-facing signals only: consumed by some task and
-        produced by none (internal channels are not driveable)."""
-        if self._alphabet is None:
-            produced = set()
-            for task in self.kernel.tasks:
-                produced.update(task.produced_signals())
-            alphabet = {}
-            for task in self.kernel.tasks:
-                for name, is_pure in task.input_alphabet():
-                    if name not in produced:
-                        alphabet.setdefault(name, is_pure)
-            self._alphabet = sorted(alphabet.items())
-        return self._alphabet
-
-    def step(self, instant):
-        emitted = {}
-        for name, value in sorted(instant.items()):
-            self.kernel.post_input(name, value)
-        emitted.update(self.kernel.run_until_idle())
-        values = {name: value for name, value in emitted.items() if value is not None}
-        return make_record(instant, set(emitted), values)

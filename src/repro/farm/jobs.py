@@ -22,16 +22,17 @@ import random
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+from ..engines import engine_names
 from ..errors import EclError
 
-#: Engine names a job may ask for.  "equivalence" is the opt-in
-#: cross-engine mode: the interpreter runs in lockstep with both
-#: compiled engines (efsm and native) and the job fails with status
-#: "diverged" on the first observable mismatch.  "vector" jobs carry
+#: Engine names a job may ask for: the :mod:`repro.engines` registry.
+#: "equivalence" is the opt-in cross-engine mode: the interpreter runs
+#: in lockstep with both compiled engines (efsm and native) and the job
+#: fails with status "diverged" on the first observable mismatch.  "vector" jobs carry
 #: ordinary per-job identities/seeds but execute fused: workers group
 #: same-sweep jobs and advance them together through one numpy
 #: :class:`~repro.runtime.vector.VectorReactor` sweep.
-ENGINE_NAMES = ("efsm", "native", "interp", "rtos", "vector", "equivalence")
+ENGINE_NAMES = engine_names()
 
 #: Task engines the rtos farm engine accepts ("" = default efsm).
 TASK_ENGINE_NAMES = ("", "efsm", "native", "interp")

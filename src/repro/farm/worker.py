@@ -27,7 +27,7 @@ from __future__ import annotations
 import os
 import traceback
 from time import perf_counter
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from .. import telemetry
 from ..errors import EclError
@@ -170,16 +170,8 @@ class WorkerState:
         key = (design_label, module_name)
         reactor = self._vectors.get(key)
         if reactor is None:
-            from ..runtime.vector import VectorReactor, require_numpy
-
-            require_numpy("vector")
             handle = self.build(design_label).module(module_name)
-            reactor = VectorReactor(
-                handle.efsm(),
-                code=handle.native_code(),
-                vcode=handle.vector_code(),
-            )
-            self._vectors[key] = reactor
+            reactor = self._vectors[key] = handle.reactor(engine="vector")
         return reactor
 
     # -- job execution -------------------------------------------------
@@ -262,31 +254,13 @@ class WorkerState:
         started = perf_counter()
         try:
             coverage = self._coverage_for(job) if job.collect_coverage else None
-            attached = False
             if job.engine == "equivalence":
-                records, status, divergence, attached = self._run_equivalence(
-                    job, coverage
-                )
+                records, status, divergence = self._run_equivalence(job, coverage)
                 result.divergence = divergence
             else:
-                records, status, attached, kernel_stats = self._run_single(
-                    job, coverage
-                )
+                records, status, kernel_stats = self._run_single(job, coverage)
                 result.kernel_stats = kernel_stats
             if coverage is not None:
-                if not attached:
-                    # Engines without reactor instrumentation (interp,
-                    # and rtos with interp tasks) still contribute
-                    # observable emit coverage; instrumented reactors
-                    # marked emits per instant already (including
-                    # local signals records miss).
-                    if isinstance(coverage, dict):
-                        maps = coverage.values()
-                    else:
-                        maps = (coverage,)
-                    for record in records:
-                        for cov in maps:
-                            cov.mark_emits(record["emitted"])
                 result.coverage = self._coverage_payload(coverage)
             if job.properties:
                 violation = self._check_properties(job, records)
@@ -460,13 +434,6 @@ class WorkerState:
             "covered_emits": int(e.sum()),
         }
 
-    def _stimulus(self, job, engine):
-        instants = job.stimulus.materialize(engine.input_alphabet(), job.seed)
-        budget = job.instant_budget
-        while len(instants) < budget:
-            instants.append({})
-        return instants[:budget]
-
     def _coverage_for(self, job):
         """Fresh coverage map(s) sized by the job's EFSM tables.
 
@@ -522,59 +489,32 @@ class WorkerState:
         return monitor.first_violation
 
     def _run_single(self, job, coverage=None):
-        """``(records, status, coverage_attached, kernel_stats)`` for
-        one plain job."""
+        """``(records, status, kernel_stats)`` for one plain job."""
         engine = get_engine(job.engine).build(self.handles(job.design), job)
-        attached = False
-        if coverage is not None:
-            attach = getattr(engine, "enable_coverage", None)
-            if attach is not None:
-                attached = bool(attach(coverage))
-        records = None
-        run_spec = getattr(engine, "run_spec", None)
-        if run_spec is not None:
-            # Whole-trace driver loop (native engine, random stimulus):
-            # the per-(design, stimulus-spec) compiled driver owns the
-            # entire inner loop.
-            records = run_spec(job)
-        if records is None:
-            stimulus = self._stimulus(job, engine)
-            step_many = getattr(engine, "step_many", None)
-            if step_many is not None:
-                # Batched-instant loop (native engine): one call per job.
-                records = step_many(stimulus)
-            else:
-                records = []
-                for instant in stimulus:
-                    records.append(engine.step(instant))
-                    if engine.terminated:
-                        break
+        records = engine.run_covered(coverage, engine.run_spec, job)
         status = STATUS_TERMINATED if engine.terminated else STATUS_OK
-        stats_hook = getattr(engine, "kernel_stats", None)
-        kernel_stats = stats_hook() if stats_hook is not None else None
-        return records, status, attached, kernel_stats
+        return records, status, engine.kernel_stats()
 
     def _run_equivalence(self, job, coverage=None):
         """The interpreter in lockstep with both compiled engines (efsm
         and native) on one stimulus; the efsm records are what gets
         persisted (stable trace digests across engine additions).
 
-        A coverage map attaches to the lockstepped efsm candidate, so
-        cross-engine verification jobs merge full state/transition
-        bitmaps instead of record-level emit coverage only."""
+        A coverage map attaches to the lockstepped efsm candidate, whose
+        reactor marks full state/transition bitmaps."""
         handles = self.handles(job.design)
         reference = get_engine("interp").build(handles, job)
         candidates = [
             get_engine("efsm").build(handles, job),
             get_engine("native").build(handles, job),
         ]
-        attached = False
         if coverage is not None:
-            attached = bool(candidates[0].enable_coverage(coverage))
+            candidates[0].enable_coverage(coverage)
         records = []
         status = STATUS_OK
         divergence = None
-        for instant_no, instant in enumerate(self._stimulus(job, candidates[0])):
+        stimulus = candidates[0].stimulus(job.stimulus, job.seed, job.instant_budget)
+        for instant_no, instant in enumerate(stimulus):
             expected = reference.step(instant)
             mismatch = None
             for candidate in candidates:
@@ -602,7 +542,7 @@ class WorkerState:
             if candidates[0].terminated:
                 status = STATUS_TERMINATED
                 break
-        return records, status, divergence, attached
+        return records, status, divergence
 
     def _render_vcd(self, job, records) -> Optional[str]:
         """Replay the records through a VcdRecorder when asked to."""

@@ -229,16 +229,11 @@ class VerifyCampaign:
 
     def _replay(self, stimulus):
         """``(records, monitor_or_None)`` for one stimulus run locally."""
-        engine = self._engine()
+        records = self._engine().run(stimulus)
         monitor = Monitor(self._program) if self._program else None
-        records = []
-        for instant in stimulus:
-            record = engine.step(instant)
-            records.append(record)
-            if monitor is not None:
+        if monitor is not None:
+            for record in records:
                 monitor.step_record(record)
-            if engine.terminated:
-                break
         return records, monitor
 
     def _replay_violation(self, stimulus):

@@ -19,8 +19,8 @@ event-flag/mailbox services would lose (overwrite semantics included).
 import pytest
 
 from repro.designs import AUDIO_BUFFER_ECL, PROTOCOL_STACK_ECL
+from repro.engines import get_engine
 from repro.farm import SimJob, StimulusSpec, WorkerState
-from repro.farm.engines import build_engine
 
 STACK_TASKS = (
     ("assemble", "assemble", 3, (("outpkt", "packet"),)),
@@ -61,7 +61,7 @@ def run_rtos(state, design, module, tasks, task_engine, salt, length=24):
         tasks=tasks,
         task_engine=task_engine,
     )
-    engine = build_engine("rtos", state.handles(design), job)
+    engine = get_engine("rtos").build(state.handles(design), job)
     # Seed the stimulus from the *efsm* job identity so every task
     # engine replays the identical instants (task_engine enters the
     # job id by design — it must not change the drawn trace here).
@@ -148,7 +148,7 @@ module slowpoke (input pure go, input int data, output int total)
         job = SimJob(design="d", module="slowpoke", engine="rtos",
                      stimulus=StimulusSpec.explicit([]), index=0,
                      task_engine=task_engine)
-        return build_engine("rtos", state.handles("d"), job)
+        return get_engine("rtos").build(state.handles("d"), job)
 
     @pytest.mark.parametrize("task_engine", TASK_ENGINES)
     def test_mailbox_overwrite_counts_lost(self, task_engine):

@@ -3,13 +3,12 @@ versioned batch-spec schema it rides with."""
 
 import json
 import os
-import warnings
 
 import pytest
 
 from repro.engines import (Engine, SpecOutcome, adapter_names,
                            derive_spec_seed, engine_names, get_engine)
-from repro.errors import EclError
+from repro.errors import EclError, ParseError
 from repro.farm.jobs import SimJob, StimulusSpec
 from repro.farm.spec import SPEC_VERSION, check_version, load_spec
 from repro.pipeline import Pipeline
@@ -63,15 +62,6 @@ def test_equivalence_has_no_adapter(echo_handle):
         get_engine("equivalence").build(lambda name: echo_handle, job)
 
 
-def test_reactor_resolution(echo_handle):
-    native = get_engine("native").reactor(echo_handle)
-    assert type(native).__name__ == "NativeReactor"
-    with pytest.raises(EclError):
-        get_engine("rtos").reactor(echo_handle)
-    with pytest.raises(EclError):
-        get_engine("equivalence").reactor(echo_handle)
-
-
 def test_run_trace_steps_explicit_instants(echo_handle):
     # The first instant arms the (non-immediate) await; later pings emit.
     trace = [{"ping": None}, {}, {"ping": None}, {"ping": None}]
@@ -100,6 +90,39 @@ def test_run_spec_is_engine_uniform(echo_handle):
     assert efsm_cov.as_payload() == native_cov.as_payload()
 
 
+DIVZ = """
+module divz (input int x, output int y)
+{
+    int d;
+    while (1) { await (x); d = 0; emit (y, 10 / d); }
+}
+"""
+
+
+def _module(source, name):
+    return Pipeline().compile_text(source, filename=name).module(name)
+
+
+@pytest.mark.parametrize("name", adapter_names())
+def test_run_spec_fails_alike_on_every_engine(name):
+    """A design that does not compile raises from run_spec; a runtime
+    fault (also one in the start-up instant) errors each lane."""
+    engine = get_engine(name)
+    if not engine.available():
+        pytest.skip("%s needs numpy" % name)
+    spec = StimulusSpec.random(length=6, present_prob=1.0)
+    with pytest.raises(ParseError):
+        engine.run_spec(_module(DIVZ, "divz"), spec, n_instances=3)
+    runtime = DIVZ.replace("emit (", "emit_v (")
+    startup = runtime.replace(
+        "while (1) { await (x); d = 0; emit_v (y, 10 / d); }",
+        "d = 0; emit_v (y, 10 / d); while (1) { await (x); }")
+    for source in (runtime, startup):
+        outcome = engine.run_spec(_module(source, "divz"), spec,
+                                  n_instances=3)
+        assert outcome.errors == ["division by zero"] * 3
+
+
 def test_run_spec_derived_seeds_are_canonical():
     spec = StimulusSpec.random(length=5, salt=3)
     assert derive_spec_seed(spec, 0) != derive_spec_seed(spec, 1)
@@ -110,24 +133,6 @@ def test_run_spec_derived_seeds_are_canonical():
         from repro.runtime.vector import derive_seed
 
         assert derive_seed(spec, 7) == derive_spec_seed(spec, 7)
-
-
-def test_legacy_farm_exports_warn():
-    import repro.farm as farm_pkg
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        engines = farm_pkg.ENGINES
-        build = farm_pkg.build_engine
-    assert len(caught) == 2
-    assert all(issubclass(w.category, DeprecationWarning) for w in caught)
-    from repro.farm.engines import ENGINES as real_engines
-    from repro.farm.engines import build_engine as real_build
-
-    assert engines is real_engines
-    assert build is real_build
-    with pytest.raises(AttributeError):
-        farm_pkg.no_such_name
 
 
 # -- spec v2 -----------------------------------------------------------

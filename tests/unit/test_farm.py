@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engines import get_engine
 from repro.errors import EclError
 from repro.farm import (
     ENGINE_NAMES,
@@ -11,7 +12,7 @@ from repro.farm import (
     WorkerState,
     expand_jobs,
 )
-from repro.farm.engines import build_engine, compare_records, make_record
+from repro.farm.engines import compare_records, make_record
 from repro.farm.farm import FarmReport
 from repro.farm.jobs import (
     STATUS_ERROR,
@@ -122,18 +123,18 @@ class TestEngines:
             if name == "vector" and not NUMPY_AVAILABLE:
                 # Registered, but degrades without the optional numpy.
                 with pytest.raises(EngineUnavailable):
-                    build_engine(name, WorkerState(DESIGNS).handles("echo"),
-                                 job())
+                    get_engine(name).build(
+                        WorkerState(DESIGNS).handles("echo"), job())
                 continue
-            build_engine(name, WorkerState(DESIGNS).handles("echo"),
-                         job())
+            get_engine(name).build(WorkerState(DESIGNS).handles("echo"),
+                                   job())
 
     def test_unknown_engine_name(self, state):
         with pytest.raises(EclError, match="unknown engine"):
-            build_engine("nope", state.handles("echo"), job())
+            get_engine("nope").build(state.handles("echo"), job())
 
     def test_step_records_are_json_plain(self, state):
-        engine = build_engine("efsm", state.handles("echo"), job())
+        engine = get_engine("efsm").build(state.handles("echo"), job())
         # Instant 1 is the start-up instant (non-immediate await), so
         # the first ping only arms the loop; the second one answers.
         assert engine.step({"ping": None})["emitted"] == []
@@ -143,15 +144,15 @@ class TestEngines:
 
     def test_interp_and_efsm_agree_on_counter(self, state):
         j = job("counter", length=12)
-        interp = build_engine("interp", state.handles("counter"), j)
-        efsm = build_engine("efsm", state.handles("counter"), j)
+        interp = get_engine("interp").build(state.handles("counter"), j)
+        efsm = get_engine("efsm").build(state.handles("counter"), j)
         stimulus = j.stimulus.materialize(efsm.input_alphabet(), j.seed)
         for instant in stimulus:
             assert compare_records(interp.step(instant),
                                    efsm.step(instant)) is None
 
     def test_rtos_engine_runs_single_task(self, state):
-        engine = build_engine("rtos", state.handles("echo"), job())
+        engine = get_engine("rtos").build(state.handles("echo"), job())
         record = engine.step({"ping": None})
         assert record["emitted"] == ["pong"]
         assert engine.input_alphabet() == [("ping", True)]
@@ -163,8 +164,7 @@ class TestEngines:
 
         stack_state = WorkerState({"stack": PROTOCOL_STACK_ECL})
         for engine_name in ("efsm", "rtos"):
-            engine = build_engine(
-                engine_name,
+            engine = get_engine(engine_name).build(
                 stack_state.handles("stack"),
                 job("checkcrc", design="stack", engine=engine_name),
             )
@@ -321,8 +321,8 @@ class TestRtosTaskEngineSelection:
                    task_engine="turbo")
 
     def test_native_tasks_bind_from_partition_bundle(self, state):
-        engine = build_engine("rtos", state.handles("echo"),
-                              job(engine="rtos", task_engine="native"))
+        engine = get_engine("rtos").build(
+            state.handles("echo"), job(engine="rtos", task_engine="native"))
         assert all(task.uses_native_path
                    for task in engine.kernel.tasks)
         # kernel.start() already ran the start-up instant, so the
@@ -331,8 +331,8 @@ class TestRtosTaskEngineSelection:
         assert engine.step({"ping": None})["emitted"] == ["pong"]
 
     def test_kernel_stats_surface(self, state):
-        engine = build_engine("rtos", state.handles("echo"),
-                              job(engine="rtos"))
+        engine = get_engine("rtos").build(state.handles("echo"),
+                                          job(engine="rtos"))
         engine.step({"ping": None})
         stats = engine.kernel_stats()
         assert stats["dispatches"] >= 2
@@ -486,20 +486,23 @@ class TestTraceDriverFastPath:
 
     def test_run_spec_records_match_step_records(self, state):
         j = job("counter", engine="native", length=16)
-        driver_engine = build_engine("native", state.handles("counter"), j)
+        driver_engine = get_engine("native").build(state.handles("counter"), j)
         records = driver_engine.run_spec(j)
-        step_engine = build_engine("native", state.handles("counter"), j)
+        step_engine = get_engine("native").build(state.handles("counter"), j)
         stimulus = j.stimulus.materialize(step_engine.input_alphabet(),
                                           j.seed)
         expected = [step_engine.step(instant) for instant in stimulus]
         assert records == expected
 
-    def test_run_spec_declines_explicit_stimulus(self, state):
+    def test_run_spec_replays_explicit_stimulus(self, state):
         spec = StimulusSpec.explicit([{"tick": None}] * 3)
         j = SimJob(design="counter", module="counter", engine="native",
                    stimulus=spec, index=0)
-        engine = build_engine("native", state.handles("counter"), j)
-        assert engine.run_spec(j) is None
+        engine = get_engine("native").build(state.handles("counter"), j)
+        step_engine = get_engine("native").build(state.handles("counter"), j)
+        expected = [step_engine.step(instant)
+                    for instant in spec.materialize([], j.seed)]
+        assert engine.run_spec(j) == expected
 
     def test_run_job_uses_driver_and_matches_efsm_trace(self, state):
         # Same stimulus spec, engines differ only in execution style;
